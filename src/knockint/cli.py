@@ -185,6 +185,8 @@ def cmd_run(args):
     n_err = len(report["errors"])
     print(f"wrote {cfg.output_dir}/report.json "
           f"({len(report['results'])} functions, {n_err} failed repetitions)")
+    if report["errors"] and not any(report["results"].values()):
+        raise KnockintError(f"every repetition failed; the first: {report['errors'][0]['error']}")
 
 
 def build_parser() -> _Parser:

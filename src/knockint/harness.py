@@ -21,14 +21,11 @@ import numpy as np
 from . import __version__
 from .exceptions import ConfigurationError, ValidationError
 from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_selection_json
-from .importance import (AttributionConfig, ImportanceScores, compute_scores,
-                         read_scores_csv, write_scores_csv)
-from .knockoff import (fit_gaussian, read_augmented_csv, sample_knockoffs,
-                       save_model, write_augmented_csv)
+from .importance import AttributionConfig, compute_scores, write_scores_csv
+from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
 from .metrics import EvalReport, aggregate, evaluate
 from .network import TrainConfig, init_network, save_network, train
-from .simsuite import (Dataset, SimulationSpec, generate, read_dataset_csv,
-                       write_dataset_csv)
+from .simsuite import Dataset, SimulationSpec, generate, write_dataset_csv
 
 KNOCKOFF_SUBSTITUTION_NOTE = (
     "Knockoffs are second-order Gaussian constructions fitted to empirical "

@@ -16,11 +16,11 @@ geometric mean of the two univariate magnitudes.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, ContractViolation
+from .exceptions import ConfigurationError, ContractViolation, ValidationError
 from .network import CoupledNetwork, batch_input_gradient, batch_input_hessian
 
 METHODS = ("model_based", "instance_based")
@@ -205,7 +205,11 @@ def pair_class(i: int, j: int, p: int) -> str:
 
 
 def write_scores_csv(path, scores: ImportanceScores):
-    """Long-format export: one row per unordered pair (i, j), 1-based indices."""
+    """Long-format export: one row per labelled pair (i, j), 1-based indices.
+
+    A feature paired with its own knockoff (j = i + p) carries no signal and
+    is not in the labelled set (see ``fdr.build_gamma``), so it gets no row.
+    """
     two_p = scores.s1d.shape[0]
     p = two_p // 2
     with open(path, "w", newline="") as fh:
@@ -213,18 +217,25 @@ def write_scores_csv(path, scores: ImportanceScores):
         writer.writerow(["i", "j", "class", "raw", "calibrated"])
         for i in range(two_p):
             for j in range(i + 1, two_p):
+                if j == i + p:
+                    continue
                 writer.writerow([i + 1, j + 1, pair_class(i, j, p),
                                  repr(float(scores.s2d[i, j])), repr(float(scores.calibrated[i, j]))])
 
 
 def read_scores_csv(path) -> ImportanceScores:
-    """Rebuild score matrices from the long-format CSV (s1d is not stored)."""
+    """Rebuild score matrices from the long-format CSV (s1d is not stored).
+
+    Pairs without a row, such as a feature with its own knockoff, read as 0.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             rows.append((int(row["i"]) - 1, int(row["j"]) - 1,
                          float(row["raw"]), float(row["calibrated"])))
+    if not rows:
+        raise ValidationError(f"{path}: no score rows")
     two_p = max(max(i, j) for i, j, _, _ in rows) + 1
     s2d = np.zeros((two_p, two_p))
     cal = np.zeros((two_p, two_p))

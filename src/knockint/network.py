@@ -10,13 +10,20 @@ plain dense first layer on all ``2p`` inputs.
 
 All differentiation is done analytically: reverse mode for input gradients,
 forward-over-reverse for input Hessians.
+
+``train`` keeps every parameter in one float64 buffer (``w0..w3``, then
+``z, z_tilde``, then ``b0..b3``) and rebinds the network's arrays as views of
+it; gradients and the Adam moments live in matching buffers, so clipping and
+each Adam step are a handful of whole-buffer operations. Each of them rounds
+exactly as a per-parameter Adam loop would, and ``train`` is bit-identical to
+the reference loop kept in ``tests/test_network.py``.
 """
 
 from __future__ import annotations
 
-import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -297,54 +304,78 @@ def input_hessian(net: CoupledNetwork, x_aug: np.ndarray) -> np.ndarray:
     return batch_input_hessian(net, x_aug[None, :])[0]
 
 
-def _loss_and_param_grads(net: CoupledNetwork, X: np.ndarray, y: np.ndarray,
-                          l1_filter: float, l1_mlp: float = 0.0):
-    """Mean loss over the batch plus gradients for every parameter."""
-    n = X.shape[0]
-    h0, pre, act, out = _forward_pass(net, X)
-    if net.task == "binary":
+class _Flat(NamedTuple):
+    """One float64 buffer and a network whose parameters are views of it.
+
+    Layout: w0..w3, then z and z_tilde (coupling only), then b0..b3, so the
+    MLP weights and the filter weights are each one contiguous slice.
+    """
+
+    buf: np.ndarray
+    net: CoupledNetwork
+
+
+def _flatten(net: CoupledNetwork, buf: np.ndarray | None = None) -> _Flat:
+    """Copy ``net``'s parameters into a new buffer, or view ``buf`` laid out alike."""
+    arrays = [*net.w, *([net.z, net.z_tilde] if net.coupling else []), *net.b]
+    if buf is None:
+        buf = np.concatenate([a.ravel() for a in arrays], dtype=float)
+    views, start = [], 0
+    for a in arrays:
+        views.append(buf[start:start + a.size].reshape(a.shape))
+        start += a.size
+    z, z_tilde = views[4:6] if net.coupling else (None, None)
+    return _Flat(buf, replace(net, w=views[:4], b=views[-4:], z=z, z_tilde=z_tilde))
+
+
+def _data_loss(task: str, out: np.ndarray, y: np.ndarray):
+    """Mean batch loss and its gradient with respect to ``out``."""
+    n = out.shape[0]
+    if task == "binary":
         prob = _sigmoid(out)
         eps = 1e-12
         loss = -np.mean(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))
-        dout = (prob - y) / n
-    else:
-        resid = out - y
-        loss = np.mean(resid ** 2)
-        dout = 2.0 * resid / n
+        return loss, (prob - y) / n
+    resid = out - y
+    return np.mean(resid ** 2), 2.0 * resid / n
 
-    grads = {}
-    g = dout[:, None] * np.ones((1, 1))            # (n, 1)
-    grads["w3"] = act[2].T @ g
-    grads["b3"] = g.sum(axis=0)
-    g = g @ net.w[3].T
-    layer_inputs = [h0, act[0], act[1]]
-    for l in (2, 1, 0):
-        ga = g * _elu_prime(pre[l])
-        grads[f"w{l}"] = layer_inputs[l].T @ ga
-        grads[f"b{l}"] = ga.sum(axis=0)
-        g = ga @ net.w[l].T
+
+def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndarray,
+                          l1_filter: float, l1_mlp: float):
+    """Mean penalized loss over the batch; writes every gradient into ``grads``."""
+    net, g_net = params.net, grads.net
+    h = _filter_layer(net, X)
+    inputs, elu_prime = [h], []
+    for l in range(3):
+        a = h @ net.w[l] + net.b[l]
+        neg = np.minimum(a, 0.0)
+        h = np.where(a > 0, a, np.expm1(neg))
+        elu_prime.append(np.exp(neg))  # exp(0) is exactly 1, so no mask is needed
+        inputs.append(h)
+    out = (h @ net.w[3] + net.b[3])[..., 0]
+    loss, dout = _data_loss(net.task, out, y)
+
+    g = dout.reshape(-1, 1)
+    for l in (3, 2, 1, 0):
+        np.matmul(inputs[l].T, g, out=g_net.w[l])
+        np.add.reduce(g, axis=0, out=g_net.b[l])
+        g = g @ net.w[l].T
+        if l:
+            g *= elu_prime[l - 1]
+    n_w = sum(w.size for w in net.w)
     if net.coupling:
         p = net.p
-        grads["z"] = (X[:, :p] * g).sum(axis=0)
-        grads["z_tilde"] = (X[:, p:] * g).sum(axis=0)
+        np.add.reduce(X[:, :p] * g, axis=0, out=g_net.z)
+        np.add.reduce(X[:, p:] * g, axis=0, out=g_net.z_tilde)
         if l1_filter > 0:
             loss += l1_filter * (np.abs(net.z).sum() + np.abs(net.z_tilde).sum())
-            grads["z"] += l1_filter * np.sign(net.z)
-            grads["z_tilde"] += l1_filter * np.sign(net.z_tilde)
+            filters = slice(n_w, n_w + 2 * p)
+            grads.buf[filters] += l1_filter * np.sign(params.buf[filters])
     if l1_mlp > 0:
         for l in range(4):
             loss += l1_mlp * np.abs(net.w[l]).sum()
-            grads[f"w{l}"] += l1_mlp * np.sign(net.w[l])
-    return loss, grads
-
-
-def _param_dict(net: CoupledNetwork):
-    params = {f"w{l}": net.w[l] for l in range(4)}
-    params.update({f"b{l}": net.b[l] for l in range(4)})
-    if net.coupling:
-        params["z"] = net.z
-        params["z_tilde"] = net.z_tilde
-    return params
+        grads.buf[:n_w] += l1_mlp * np.sign(params.buf[:n_w])
+    return loss
 
 
 def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
@@ -353,6 +384,7 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
 
     Returns ``(trained_net, trace)`` where ``trace`` holds per-epoch mean
     training loss (and validation loss when a validation split is held out).
+    The trained network's parameters are views of one flat buffer.
     Raises :class:`TrainingDivergedError` if the loss ever goes non-finite.
     """
     cfg = cfg or TrainConfig()
@@ -368,7 +400,8 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     if cfg.batch_size > n:
         raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds n={n}")
 
-    net = net.copy()
+    params = _flatten(net)
+    net = params.net
     rng = np.random.default_rng(cfg.seed)
 
     n_val = int(round(cfg.validation_fraction * n))
@@ -386,40 +419,61 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
         if n_val:
             yval = (yval - net.y_mean) / net.y_std
 
-    params = _param_dict(net)
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(p_) for k, p_ in params.items()}
+    theta = params.buf
+    grads = _flatten(net, np.zeros_like(theta))
+    grad = grads.buf
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    tmp, tmp2 = np.empty_like(theta), np.empty_like(theta)
+    # norm_terms view tmp, which holds grad * grad when clipping. The norm adds
+    # one sum per parameter, output layer first: one sum over the buffer, or
+    # another order, would move the last bits of every trained network.
+    sq = _flatten(net, tmp).net
+    norm_terms = [t for l in (3, 2, 1, 0) for t in (sq.w[l], sq.b[l])]
+    if net.coupling:
+        norm_terms += [sq.z, sq.z_tilde]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = cfg.learning_rate
     step = 0
     trace = {"train_loss": [], "val_loss": [] if n_val else None}
 
     n_tr = Xtr.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_tr)
+        X_ep, y_ep = Xtr[order], ytr[order]
         epoch_losses = []
         for start in range(0, n_tr, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            loss, grads = _loss_and_param_grads(net, Xtr[idx], ytr[idx],
-                                                cfg.l1_filter_penalty,
-                                                cfg.l1_mlp_penalty)
+            stop = start + cfg.batch_size
+            loss = _loss_and_param_grads(params, grads, X_ep[start:stop], y_ep[start:stop],
+                                         cfg.l1_filter_penalty, cfg.l1_mlp_penalty)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_losses.append(loss)
             step += 1
             if cfg.grad_clip is not None:
-                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                np.multiply(grad, grad, out=tmp)
+                norm = np.sqrt(sum(float(np.add.reduce(t, axis=None)) for t in norm_terms))
                 if norm > cfg.grad_clip:
-                    scale = cfg.grad_clip / norm
-                    grads = {k: g * scale for k, g in grads.items()}
-            for k, g in grads.items():
-                m[k] = beta1 * m[k] + (1 - beta1) * g
-                v[k] = beta2 * v[k] + (1 - beta2) * g * g
-                mhat = m[k] / (1 - beta1 ** step)
-                vhat = v[k] / (1 - beta2 ** step)
-                params[k] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+                    grad *= cfg.grad_clip / norm
+            # Adam in place, rounding as m = b1 m + (1 - b1) g,
+            # v = b2 v + ((1 - b2) g) g and theta -= (lr (m / c1)) / (sqrt(v / c2) + eps)
+            # with c1 = 1 - b1^step and c2 = 1 - b2^step.
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=tmp)
+            m += tmp
+            v *= beta2
+            np.multiply(grad, 1 - beta2, out=tmp)
+            tmp *= grad
+            v += tmp
+            np.divide(m, 1 - beta1 ** step, out=tmp)
+            tmp *= lr
+            np.divide(v, 1 - beta2 ** step, out=tmp2)
+            np.sqrt(tmp2, out=tmp2)
+            tmp2 += eps
+            tmp /= tmp2
+            theta -= tmp
         trace["train_loss"].append(float(np.mean(epoch_losses)))
         if n_val:
-            loss_val, _ = _loss_and_param_grads(net, Xval, yval, 0.0)
+            loss_val, _ = _data_loss(net.task, _forward_pass(net, Xval)[3], yval)
             trace["val_loss"].append(float(loss_val))
     net.check_finite()
     return net, trace

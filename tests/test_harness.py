@@ -208,6 +208,29 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_cli_select_header_only_scores_exit_code(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("i,j,class,raw,calibrated\n")
+    rc = _run_cli(["select", "--scores", str(scores), "--q", "0.2",
+                   "--json-out", str(tmp_path / "sel.json")])
+    assert rc == 2
+
+
+def test_cli_run_every_repetition_failed_exit_code(tmp_path, monkeypatch):
+    import knockint.harness as harness_mod
+
+    def failing(cfg, fid, rep, rep_dir=None):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(harness_mod, "run_repetition", failing)
+    out = tmp_path / "exp"
+    rc = _run_cli(["run", "--functions", "F6", "--n", "300", "--p", "10",
+                   "--repetitions", "2", "--no-intermediates", "--out", str(out)])
+    assert rc == 2
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["errors"]) == 2
+
+
 def test_cli_stagewise_pipeline(tmp_path, capsys):
     d = tmp_path
     assert _run_cli(["simulate", "--function", "F6", "--n", "300", "--p", "10",

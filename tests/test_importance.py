@@ -1,10 +1,14 @@
 """Tests for model-based and instance-based importance scores and the
 calibration rule."""
 
+import csv
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from knockint.exceptions import ConfigurationError, ContractViolation
+from knockint.exceptions import ConfigurationError, ContractViolation, ValidationError
+from knockint.fdr import build_gamma
 from knockint.importance import (AttributionConfig, ImportanceScores, calibrate,
                                  compute_scores, instance_based_1d,
                                  instance_based_2d, model_based_1d,
@@ -250,12 +254,13 @@ def test_compute_scores_dispatch_and_csv(tmp_path):
         path = tmp_path / f"{method}.csv"
         write_scores_csv(path, scores)
         back = read_scores_csv(path)
-        # the long format stores unordered pairs only; the ignored diagonal
-        # comes back as zero
-        np.testing.assert_allclose(np.triu(back.calibrated, 1),
-                                   np.triu(scores.calibrated, 1), rtol=1e-15)
-        np.testing.assert_allclose(np.triu(back.s2d, 1), np.triu(scores.s2d, 1),
-                                   rtol=1e-15)
+        # the long format stores the labelled pairs only; the diagonal and
+        # each feature's pair with its own knockoff come back as zero
+        labelled = np.triu(np.ones((4, 4), dtype=bool), 1)
+        labelled[[0, 1], [2, 3]] = False
+        for got, want in ((back.calibrated, scores.calibrated), (back.s2d, scores.s2d)):
+            np.testing.assert_allclose(got[labelled], want[labelled], rtol=1e-15)
+            assert not np.any(np.triu(got, 1)[~labelled])
     with pytest.raises(ConfigurationError):
         compute_scores(net, "nope", X, cfg)
 
@@ -276,3 +281,26 @@ def test_quadrature_convergence_on_trained_net():
                            AttributionConfig(alpha_steps=64, beta_steps=64))
     rel = np.linalg.norm(hi - lo) / np.linalg.norm(hi)
     assert rel < 0.05
+
+
+def test_scores_csv_rows_match_gamma(tmp_path):
+    # Every written row is a labelled pair, with build_gamma's class.
+    p = 4
+    rng = np.random.default_rng(3)
+    S = rng.exponential(size=(2 * p, 2 * p))
+    S = S + S.T
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, ImportanceScores(s1d=np.ones(2 * p), s2d=S, calibrated=S,
+                                            method="model_based"))
+    with open(path, newline="") as fh:
+        rows = [(int(r["i"]) - 1, int(r["j"]) - 1, r["class"]) for r in csv.DictReader(fh)]
+    gamma = build_gamma(S)
+    assert Counter(c for _, _, c in rows) == Counter(g.klass for g in gamma)
+    assert sorted(rows) == sorted((g.i, g.j, g.klass) for g in gamma)
+
+
+def test_read_scores_csv_header_only(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("i,j,class,raw,calibrated\n")
+    with pytest.raises(ValidationError):
+        read_scores_csv(path)

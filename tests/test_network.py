@@ -6,10 +6,11 @@ import pytest
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
                                  TrainingDivergedError)
-from knockint.network import (CoupledNetwork, TrainConfig, batch_input_gradient,
-                              batch_input_hessian, forward, init_network,
-                              input_gradient, input_hessian, load_network,
-                              predict, raw_output, save_network, train)
+from knockint.network import (CoupledNetwork, TrainConfig, _elu_prime, _flatten,
+                              _forward_pass, _loss_and_param_grads, _sigmoid,
+                              batch_input_gradient, batch_input_hessian, forward,
+                              init_network, input_gradient, input_hessian,
+                              load_network, predict, raw_output, save_network, train)
 
 from conftest import random_network
 
@@ -301,6 +302,177 @@ def test_validation_trace_present():
     _, trace = train(net, X, y, cfg)
     assert len(trace["val_loss"]) == 4
     assert all(np.isfinite(trace["val_loss"]))
+
+
+# ------------------------------------------- training against a reference
+
+def _reference_loss_and_grads(net, X, y, l1_filter, l1_mlp=0.0):
+    """Loss and a dict of per-parameter gradients, one array per parameter."""
+    n = X.shape[0]
+    h0, pre, act, out = _forward_pass(net, X)
+    if net.task == "binary":
+        prob = _sigmoid(out)
+        eps = 1e-12
+        loss = -np.mean(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))
+        dout = (prob - y) / n
+    else:
+        resid = out - y
+        loss = np.mean(resid ** 2)
+        dout = 2.0 * resid / n
+
+    grads = {}
+    g = dout[:, None] * np.ones((1, 1))
+    grads["w3"] = act[2].T @ g
+    grads["b3"] = g.sum(axis=0)
+    g = g @ net.w[3].T
+    layer_inputs = [h0, act[0], act[1]]
+    for l in (2, 1, 0):
+        ga = g * _elu_prime(pre[l])
+        grads[f"w{l}"] = layer_inputs[l].T @ ga
+        grads[f"b{l}"] = ga.sum(axis=0)
+        g = ga @ net.w[l].T
+    if net.coupling:
+        p = net.p
+        grads["z"] = (X[:, :p] * g).sum(axis=0)
+        grads["z_tilde"] = (X[:, p:] * g).sum(axis=0)
+        if l1_filter > 0:
+            loss += l1_filter * (np.abs(net.z).sum() + np.abs(net.z_tilde).sum())
+            grads["z"] += l1_filter * np.sign(net.z)
+            grads["z_tilde"] += l1_filter * np.sign(net.z_tilde)
+    if l1_mlp > 0:
+        for l in range(4):
+            loss += l1_mlp * np.abs(net.w[l]).sum()
+            grads[f"w{l}"] += l1_mlp * np.sign(net.w[l])
+    return loss, grads
+
+
+def _reference_train(net, X_aug, y, cfg):
+    """Mini-batch Adam with one dict entry per parameter, written plainly.
+
+    ``train`` must reproduce it bit for bit. Also returns how many steps
+    clipped the gradient.
+    """
+    net = net.copy()
+    rng = np.random.default_rng(cfg.seed)
+    n = X_aug.shape[0]
+    n_val = int(round(cfg.validation_fraction * n))
+    perm = rng.permutation(n)
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    Xtr, ytr = X_aug[train_idx], y[train_idx]
+    Xval, yval = X_aug[val_idx], y[val_idx]
+    if net.task == "regression":
+        net.y_mean = float(ytr.mean())
+        net.y_std = float(ytr.std())
+        if net.y_std <= 0:
+            net.y_std = 1.0
+        ytr = (ytr - net.y_mean) / net.y_std
+        if n_val:
+            yval = (yval - net.y_mean) / net.y_std
+
+    params = {f"w{l}": net.w[l] for l in range(4)}
+    params.update({f"b{l}": net.b[l] for l in range(4)})
+    if net.coupling:
+        params["z"] = net.z
+        params["z_tilde"] = net.z_tilde
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p_) for k, p_ in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = clipped = 0
+    trace = {"train_loss": [], "val_loss": [] if n_val else None}
+    n_tr = Xtr.shape[0]
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n_tr)
+        epoch_losses = []
+        for start in range(0, n_tr, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, grads = _reference_loss_and_grads(net, Xtr[idx], ytr[idx],
+                                                    cfg.l1_filter_penalty,
+                                                    cfg.l1_mlp_penalty)
+            epoch_losses.append(loss)
+            step += 1
+            if cfg.grad_clip is not None:
+                norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+                if norm > cfg.grad_clip:
+                    clipped += 1
+                    scale = cfg.grad_clip / norm
+                    grads = {k: g * scale for k, g in grads.items()}
+            for k, g in grads.items():
+                m[k] = beta1 * m[k] + (1 - beta1) * g
+                v[k] = beta2 * v[k] + (1 - beta2) * g * g
+                mhat = m[k] / (1 - beta1 ** step)
+                vhat = v[k] / (1 - beta2 ** step)
+                params[k] -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+        trace["train_loss"].append(float(np.mean(epoch_losses)))
+        if n_val:
+            loss_val, _ = _reference_loss_and_grads(net, Xval, yval, 0.0)
+            trace["val_loss"].append(float(loss_val))
+    return net, trace, clipped
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+@pytest.mark.parametrize("task", ["regression", "binary"])
+@pytest.mark.parametrize("grad_clip", [None, 1.0], ids=["noclip", "clip"])
+@pytest.mark.parametrize("penalized", [True, False], ids=["l1+val", "plain"])
+def test_train_bit_identical_to_reference(coupling, task, grad_clip, penalized):
+    rng = np.random.default_rng(21)
+    X = 3.0 * rng.standard_normal((203, 8))    # batch 30 leaves a batch of 23
+    y = X[:, 0] * X[:, 1] + 5.0 * X[:, 2]
+    if task == "binary":
+        y = (y > 0).astype(float)
+    net = init_network(4, hidden_sizes=(7, 5, 3), task=task, seed=4, coupling=coupling)
+    extra = (dict(l1_filter_penalty=1e-3, l1_mlp_penalty=5e-4, validation_fraction=0.2)
+             if penalized else dict(l1_filter_penalty=0.0))
+    cfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=30, seed=5,
+                      grad_clip=grad_clip, **extra)
+    ref, ref_trace, clipped = _reference_train(net, X, y, cfg)
+    got, trace = train(net, X, y, cfg)
+    if grad_clip is not None:
+        assert clipped > 0
+    for a, b in zip(ref._all_params(), got._all_params(), strict=True):
+        assert np.array_equal(a, b)
+    assert (ref.y_mean, ref.y_std) == (got.y_mean, got.y_std)
+    assert trace == ref_trace
+
+
+def test_train_leaves_input_network_unchanged():
+    net = random_network(p=3, seed=3)
+    before = [a.copy() for a in net._all_params()]
+    X = np.random.default_rng(0).standard_normal((40, 6))
+    train(net, X, X[:, 0], TrainConfig(epochs=2, batch_size=16))
+    for a, b in zip(before, net._all_params(), strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+@pytest.mark.parametrize("task", ["regression", "binary"])
+def test_param_gradients_match_central_differences(coupling, task):
+    # Every weight and filter weight is kept at least 0.2 from 0, so the L1
+    # terms are differentiable within the stencil.
+    rng = np.random.default_rng(31)
+    net = random_network(p=3, hidden=(5, 4, 3), seed=8, task=task, coupling=coupling)
+    away = lambda a: np.sign(a) * (0.2 + np.abs(a))
+    net.w = [away(w) for w in net.w]
+    if coupling:
+        net.z, net.z_tilde = away(net.z), away(net.z_tilde)
+    X = rng.standard_normal((25, 6))
+    y = (X[:, 0] > 0).astype(float) if task == "binary" else X[:, 0] * X[:, 1]
+    l1_filter, l1_mlp = 0.05, 0.03
+
+    params = _flatten(net)
+    grads = _flatten(params.net, np.zeros_like(params.buf))
+    _loss_and_param_grads(params, grads, X, y, l1_filter, l1_mlp)
+    scratch = _flatten(params.net, np.zeros_like(params.buf))
+    h = 1e-5
+    fd = np.zeros_like(params.buf)
+    for k in range(params.buf.size):
+        x0 = params.buf[k]
+        params.buf[k] = x0 + h
+        up = _loss_and_param_grads(params, scratch, X, y, l1_filter, l1_mlp)
+        params.buf[k] = x0 - h
+        down = _loss_and_param_grads(params, scratch, X, y, l1_filter, l1_mlp)
+        params.buf[k] = x0
+        fd[k] = (up - down) / (2 * h)
+    np.testing.assert_allclose(grads.buf, fd, rtol=1e-6, atol=1e-7)
 
 
 # ---------------------------------------------------------------- serialization
