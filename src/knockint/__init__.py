@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .exceptions import (ConfigurationError, ContractViolation,
                          DegenerateFeatureError, GenerationError,
                          KnockintError, TrainingDivergedError, ValidationError)
-from .fdr import (LabeledScore, SelectionResult, build_gamma, feature_threshold,
+from .fdr import (SelectionResult, build_gamma, feature_threshold,
                   interaction_threshold, knockoff_stats)
 from .importance import (AttributionConfig, ImportanceScores, calibrate,
                          compute_scores, instance_based_1d, instance_based_2d,
@@ -17,5 +17,5 @@ from .metrics import EvalReport, aggregate, auroc, evaluate, fdp_power
 from .network import (CoupledNetwork, TrainConfig, forward, init_network,
                       input_gradient, input_hessian, load_network, predict,
                       save_network, train)
-from .simsuite import (Dataset, GroundTruth, SimulationSpec, generate,
-                       ground_truth, mixed_partial, verify_ground_truth)
+from .simsuite import (GROUND_TRUTH_PAIRS, Dataset, SimulationSpec, generate,
+                       mixed_partial, verify_ground_truth)

@@ -9,6 +9,7 @@ is set. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,12 +20,18 @@ import numpy as np
 from . import harness
 from .exceptions import KnockintError
 from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_selection_json
-from .importance import AttributionConfig, compute_scores, read_scores_csv, write_scores_csv
+from .importance import (METHODS, AttributionConfig, compute_scores, read_scores_csv,
+                         write_scores_csv)
 from .knockoff import (fit_gaussian, knockoff_diagnostics, read_augmented_csv,
                        sample_knockoffs, save_model, write_augmented_csv)
 from .metrics import evaluate
-from .network import TrainConfig, init_network, load_network, save_network, train
+from .network import (HIDDEN_SIZES, TASKS, TrainConfig, init_network, load_network,
+                      save_network, train)
 from .simsuite import SimulationSpec, generate, read_dataset_csv, write_dataset_csv
+
+# The training options that both ``train`` and ``run`` expose.
+TRAIN_FIELDS = ("learning_rate", "epochs", "batch_size", "l1_filter_penalty",
+                "l1_mlp_penalty", "grad_clip")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,13 +52,17 @@ def _out(path) -> Path:
     return out
 
 
+def _picked(args, *names) -> dict:
+    return {name: getattr(args, name) for name in names}
+
+
 def _manifest_for(data_path: Path) -> Path:
     return data_path.with_suffix(".manifest.json")
 
 
 def cmd_simulate(args):
-    spec = SimulationSpec(function_id=args.function, n=args.n, p=args.p,
-                          seed=args.seed, train_fraction=args.train_fraction)
+    spec = SimulationSpec(function_id=args.function,
+                          **_picked(args, "n", "p", "seed", "train_fraction"))
     dataset = generate(spec)
     out = _out(args.out)
     manifest = _out(args.manifest) if args.manifest else _manifest_for(out)
@@ -85,12 +96,7 @@ def cmd_train(args):
     hidden = tuple(int(h) for h in args.hidden.split(","))
     net = init_network(p, hidden_sizes=hidden, task=dataset.task,
                        seed=args.seed, coupling=(args.coupling == "on"))
-    cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
-                      batch_size=args.batch_size, seed=args.seed,
-                      l1_filter_penalty=args.l1_filter_penalty,
-                      l1_mlp_penalty=args.l1_mlp_penalty,
-                      grad_clip=args.grad_clip,
-                      validation_fraction=args.validation_fraction)
+    cfg = TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction", "seed"))
     net, trace = train(net, X_aug[:k], dataset.y[:k], cfg)
     net_out = _out(args.net_out)
     save_network(net, net_out)
@@ -108,8 +114,7 @@ def cmd_score(args):
             k = json.load(fh).get("n_train")
         if k is not None:
             X_aug = X_aug[k:] if len(X_aug) > k else X_aug
-    cfg = AttributionConfig(alpha_steps=args.alpha_steps, beta_steps=args.beta_steps,
-                            sample_cap=args.sample_cap)
+    cfg = AttributionConfig(**_picked(args, "alpha_steps", "beta_steps", "sample_cap"))
     scores = compute_scores(net, args.method, X_aug, cfg)
     out = _out(args.out)
     write_scores_csv(out, scores)
@@ -160,17 +165,11 @@ def cmd_run(args):
         if args.out:
             cfg.output_dir = str(_out(args.out))
     else:
-        train_cfg = TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
-                                batch_size=args.batch_size,
-                                l1_filter_penalty=args.l1_filter_penalty,
-                                l1_mlp_penalty=args.l1_mlp_penalty,
-                                grad_clip=args.grad_clip)
         cfg = harness.ExperimentConfig(
             functions=args.functions.split(","),
-            n=args.n, p=args.p, q=args.q, repetitions=args.repetitions,
-            method=args.method, calibration=args.calibration,
-            coupling=args.coupling, train=train_cfg, seed=args.seed,
-            s_scale=args.s_scale,
+            **_picked(args, "n", "p", "q", "repetitions", "method", "calibration",
+                      "coupling", "seed", "s_scale"),
+            train=TrainConfig(**_picked(args, *TRAIN_FIELDS)),
             output_dir=str(_out(args.out or "experiment_out")),
             save_intermediates=not args.no_intermediates,
         )
@@ -189,16 +188,28 @@ def cmd_run(args):
         raise KnockintError(f"every repetition failed; the first: {report['errors'][0]['error']}")
 
 
+def _fields(parser, cls, *names, **extra):
+    """One ``--name`` option per named field of the dataclass ``cls``, with the
+    field's default and that default's type; a list default becomes a
+    comma-separated string. ``extra[name]`` holds more ``add_argument`` keywords.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name in names:
+        f = fields[name]
+        default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+        if isinstance(default, list):
+            default = ",".join(default)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default, **extra.get(name, {}))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="knockint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a benchmark dataset CSV")
     p.add_argument("--function", required=True)
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--p", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-fraction", type=float, default=0.5)
+    _fields(p, SimulationSpec, "n", "p", "seed", "train_fraction")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_simulate)
@@ -207,9 +218,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--manifest")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ridge", type=float, default=1e-6)
-    p.add_argument("--s-scale", type=float, default=0.2,
-                   help="shrink factor for the knockoff gap vector, in (0, 1]")
+    _fields(p, harness.ExperimentConfig, "ridge", "s_scale", s_scale={
+        "help": "shrink factor for the knockoff gap vector, in (0, 1]"})
     p.add_argument("--augmented-out", required=True)
     p.add_argument("--model-out", required=True)
     p.add_argument("--diagnostics", action="store_true")
@@ -219,16 +229,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--manifest")
     p.add_argument("--augmented", required=True)
-    p.add_argument("--hidden", default="64,32,16")
-    p.add_argument("--coupling", choices=("on", "off"), default="on")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--l1-filter-penalty", type=float, default=1e-4)
-    p.add_argument("--l1-mlp-penalty", type=float, default=5e-4)
-    p.add_argument("--grad-clip", type=float, default=1.0)
-    p.add_argument("--validation-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--hidden", default=",".join(map(str, HIDDEN_SIZES)))
+    _fields(p, harness.ExperimentConfig, "coupling", coupling={"choices": harness.ON_OFF})
+    _fields(p, TrainConfig, *TRAIN_FIELDS, "validation_fraction", "seed")
     p.add_argument("--net-out", required=True)
     p.add_argument("--trace-out")
     p.set_defaults(func=cmd_train)
@@ -237,17 +240,14 @@ def build_parser() -> _Parser:
     p.add_argument("--net", required=True)
     p.add_argument("--augmented", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--method", choices=("model_based", "instance_based"),
-                   default="model_based")
-    p.add_argument("--alpha-steps", type=int, default=32)
-    p.add_argument("--beta-steps", type=int, default=32)
-    p.add_argument("--sample-cap", type=int, default=1000)
+    _fields(p, harness.ExperimentConfig, "method", method={"choices": METHODS})
+    _fields(p, AttributionConfig, "alpha_steps", "beta_steps", "sample_cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("select", help="apply the knockoff-aware interaction threshold")
     p.add_argument("--scores", required=True)
-    p.add_argument("--q", type=float, default=0.2)
+    _fields(p, harness.ExperimentConfig, "q")
     p.add_argument("--use-raw", action="store_true",
                    help="threshold uncalibrated |2D| scores (calibration off)")
     p.add_argument("--json-out", required=True)
@@ -263,26 +263,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("run", help="full pipeline with repetitions")
     p.add_argument("--config", help="JSON experiment config (overrides flags)")
-    p.add_argument("--functions", default="F1")
+    _fields(p, harness.ExperimentConfig, "functions")
     p.add_argument("--dataset", help="external CSV instead of simulation")
     p.add_argument("--response-column")
-    p.add_argument("--task", choices=("regression", "binary"), default="regression")
-    p.add_argument("--n", type=int, default=4000)
-    p.add_argument("--p", type=int, default=30)
-    p.add_argument("--q", type=float, default=0.2)
-    p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--method", choices=("model_based", "instance_based", "both"),
-                   default="model_based")
-    p.add_argument("--calibration", choices=("on", "off", "both"), default="on")
-    p.add_argument("--coupling", choices=("on", "off", "both"), default="on")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--l1-filter-penalty", type=float, default=1e-4)
-    p.add_argument("--l1-mlp-penalty", type=float, default=5e-4)
-    p.add_argument("--grad-clip", type=float, default=1.0)
-    p.add_argument("--s-scale", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    _fields(p, harness.ExperimentConfig, "task", "n", "p", "q", "repetitions", "method",
+            "calibration", "coupling", task={"choices": TASKS},
+            method={"choices": METHODS + ("both",)},
+            calibration={"choices": harness.ON_OFF + ("both",)},
+            coupling={"choices": harness.ON_OFF + ("both",)})
+    _fields(p, TrainConfig, *TRAIN_FIELDS)
+    _fields(p, harness.ExperimentConfig, "s_scale", "seed")
     p.add_argument("--paper-scale", action="store_true",
                    help="n=20000 and 20 repetitions")
     p.add_argument("--no-intermediates", action="store_true")

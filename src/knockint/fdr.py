@@ -25,29 +25,19 @@ Features: the classic knockoff+ threshold over signed statistics W_j.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigurationError, ContractViolation
-from .importance import pair_class
+from .table import write_table
 
 CLASSES = ("OO", "D", "DD")
 
-
-@dataclass
-class LabeledScore:
-    """One unordered augmented-feature pair; indices are 0-based, i < j.
-
-    ``klass`` is "OO", "D" (exactly one knockoff) or "DD" (two knockoffs).
-    """
-
-    i: int
-    j: int
-    score: float
-    klass: str
+# The labelled pair set: one record per unordered augmented pair, 0-based
+# i < j, and n_ko, the number of knockoffs in the pair (an index into CLASSES).
+PAIR_DTYPE = np.dtype([("i", np.intp), ("j", np.intp), ("score", float), ("n_ko", np.int8)])
 
 
 @dataclass
@@ -74,8 +64,19 @@ class SelectionResult:
         }
 
 
-def build_gamma(S: np.ndarray) -> list:
-    """Labeled pairs {(i, j) : i < j, j != i + p} from a calibrated matrix."""
+def labelled_pairs(p: int):
+    """Indices i < j, j != i + p, of the 2p augmented features in row-major
+    order, and the number of knockoffs in each pair.
+
+    A feature paired with its own knockoff carries no signal and is left out.
+    """
+    i, j = np.nonzero(np.triu(np.ones((2 * p, 2 * p), dtype=bool), 1)
+                      & ~np.eye(2 * p, k=p, dtype=bool))
+    return i, j, (i >= p).astype(np.int8) + (j >= p)
+
+
+def build_gamma(S: np.ndarray) -> np.ndarray:
+    """The labelled pair set of a calibrated matrix, as a ``PAIR_DTYPE`` array."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2:
         raise ContractViolation(f"expected a 2p x 2p matrix, got {S.shape}")
@@ -83,51 +84,54 @@ def build_gamma(S: np.ndarray) -> list:
         raise ContractViolation("score matrix must be symmetric")
     if np.any(S < 0):
         raise ContractViolation("scores must be nonnegative")
-    p = S.shape[0] // 2
-    gamma = []
-    for i in range(2 * p):
-        for j in range(i + 1, 2 * p):
-            if j == i + p:
-                continue  # a feature paired with its own knockoff carries no signal
-            gamma.append(LabeledScore(i=i, j=j, score=float(S[i, j]),
-                                      klass=pair_class(i, j, p)))
+    i, j, n_ko = labelled_pairs(S.shape[0] // 2)
+    gamma = np.empty(i.size, dtype=PAIR_DTYPE)
+    gamma["i"], gamma["j"], gamma["score"], gamma["n_ko"] = i, j, S[i, j], n_ko
     return gamma
+
+
+def _knockoff_plus_scan(candidates, controls, targets, q):
+    """First candidate t with (1 + #{controls >= t}) / max(#{targets >= t}, 1) <= q.
+
+    ``candidates`` ascend. Returns (index or None, the estimate at every candidate).
+    """
+    def n_at_or_above(values):
+        ranked = np.sort(values)
+        return ranked.size - np.searchsorted(ranked, candidates, side="left")
+
+    est = (1 + n_at_or_above(controls)) / np.maximum(n_at_or_above(targets), 1)
+    feasible = np.flatnonzero(est <= q)
+    return (int(feasible[0]) if feasible.size else None), est
 
 
 def interaction_threshold(gamma, q: float) -> SelectionResult:
     """Smallest score t with (1 + #{D >= t}) / max(#{OO >= t}, 1) <= q.
 
+    ``gamma`` is a ``PAIR_DTYPE`` array (or anything that converts to one).
     Candidates are the distinct positive scores; the OO pairs at or above the
     threshold are selected. The estimate bounds the FDR over OO pairs that
     contain at least one null feature (see the module docstring).
     """
     if not 0 < q < 1:
         raise ConfigurationError("q must lie in (0, 1)")
-    scores = np.array([g.score for g in gamma], dtype=float)
-    if scores.size and not np.all(np.isfinite(scores)):
+    gamma = np.asarray(gamma, dtype=PAIR_DTYPE)
+    scores, n_ko = gamma["score"], gamma["n_ko"]
+    if not np.all(np.isfinite(scores)):
         raise ContractViolation("scores must be finite")
-    if scores.size and np.any(scores < 0):
+    if np.any(scores < 0):
         raise ContractViolation("scores must be nonnegative")
-    klasses = np.array([g.klass for g in gamma])
     candidates = np.unique(scores[scores > 0])
-
-    def n_at_or_above(klass):
-        ranked = np.sort(scores[klasses == klass])
-        return ranked.size - np.searchsorted(ranked, candidates, side="left")
-
-    est = (1 + n_at_or_above("D")) / np.maximum(n_at_or_above("OO"), 1)
-    feasible = np.flatnonzero(est <= q)
-    if not feasible.size:
+    first, est = _knockoff_plus_scan(candidates, scores[n_ko == 1], scores[n_ko == 0], q)
+    if first is None:
         return SelectionResult(threshold=None, selected=[], estimated_fdp=None,
                                q=q, counts={k: 0 for k in CLASSES})
-    threshold = float(candidates[feasible[0]])
+    threshold = float(candidates[first])
     at_t = scores >= threshold
-    counts = {k: int(np.sum(at_t & (klasses == k))) for k in CLASSES}
-    selected = sorted((g.i, g.j) for g in gamma
-                      if g.klass == "OO" and g.score >= threshold)
+    counts = dict(zip(CLASSES, np.bincount(n_ko[at_t], minlength=3).tolist()))
+    chosen = at_t & (n_ko == 0)
+    selected = sorted(zip(gamma["i"][chosen].tolist(), gamma["j"][chosen].tolist()))
     return SelectionResult(threshold=threshold, selected=selected,
-                           estimated_fdp=float(est[feasible[0]]), q=q,
-                           counts=counts)
+                           estimated_fdp=float(est[first]), q=q, counts=counts)
 
 
 def knockoff_stats(s1d: np.ndarray) -> np.ndarray:
@@ -149,30 +153,26 @@ def feature_threshold(W: np.ndarray, q: float) -> SelectionResult:
     if not np.all(np.isfinite(W)):
         raise ContractViolation("W must be finite")
     candidates = np.unique(np.abs(W[W != 0]))
-
-    for t in candidates:
-        n_sel = int(np.sum(W >= t))
-        if n_sel == 0:
-            continue
-        ratio = (1 + int(np.sum(W <= -t))) / n_sel
-        if ratio <= q:
-            selected = sorted(int(j) for j in np.flatnonzero(W >= t))
-            return SelectionResult(threshold=float(t), selected=selected,
-                                   estimated_fdp=ratio, q=q,
-                                   counts={"selected": n_sel})
-    return SelectionResult(threshold=None, selected=[], estimated_fdp=None,
-                           q=q, counts={"selected": 0})
+    # -W >= t counts W <= -t; a t with no W >= t has estimate 1 + #{W <= -t} > q.
+    first, est = _knockoff_plus_scan(candidates, -W, W, q)
+    if first is None:
+        return SelectionResult(threshold=None, selected=[], estimated_fdp=None,
+                               q=q, counts={"selected": 0})
+    t = candidates[first]
+    selected = np.flatnonzero(W >= t).tolist()
+    return SelectionResult(threshold=float(t), selected=selected,
+                           estimated_fdp=float(est[first]), q=q,
+                           counts={"selected": len(selected)})
 
 
 def write_selection_csv(path, gamma, result: SelectionResult):
-    """Per-pair export: 1-based indices, class, score, selected flag."""
+    """Per-pair export by descending score: 1-based indices, class, score, selected flag."""
     selected = set(result.selected)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "class", "score", "selected"])
-        for g in sorted(gamma, key=lambda g: (-g.score, g.i, g.j)):
-            flag = int((g.i, g.j) in selected)
-            writer.writerow([g.i + 1, g.j + 1, g.klass, repr(float(g.score)), flag])
+    g = gamma[np.lexsort((gamma["j"], gamma["i"], -gamma["score"]))]
+    write_table(path, ["i", "j", "class", "score", "selected"],
+                ([i + 1, j + 1, CLASSES[k], s, int((i, j) in selected)]
+                 for i, j, s, k in zip(g["i"].tolist(), g["j"].tolist(),
+                                       g["score"].tolist(), g["n_ko"].tolist())))
 
 
 def write_selection_json(path, result: SelectionResult):

@@ -10,7 +10,6 @@ independent and individually rerunnable.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, asdict
@@ -21,11 +20,14 @@ import numpy as np
 from . import __version__
 from .exceptions import ConfigurationError, ValidationError
 from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_selection_json
-from .importance import AttributionConfig, compute_scores, write_scores_csv
+from .importance import METHODS, AttributionConfig, compute_scores, write_scores_csv
 from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
 from .metrics import EvalReport, aggregate, evaluate
-from .network import TrainConfig, init_network, save_network, train
+from .network import HIDDEN_SIZES, TrainConfig, init_network, save_network, train
 from .simsuite import Dataset, SimulationSpec, generate, write_dataset_csv
+from .table import read_table, write_table
+
+ON_OFF = ("on", "off")
 
 KNOCKOFF_SUBSTITUTION_NOTE = (
     "Knockoffs are second-order Gaussian constructions fitted to empirical "
@@ -40,9 +42,8 @@ TRAINING_NOTE = (
 
 
 def default_train_config() -> TrainConfig:
-    """Experiment-protocol training defaults (heavier than the CLI stage defaults)."""
-    return TrainConfig(epochs=300, l1_filter_penalty=1e-4,
-                       l1_mlp_penalty=5e-4, grad_clip=1.0)
+    """The experiment-protocol training profile, which is ``TrainConfig``'s defaults."""
+    return TrainConfig()
 
 
 def _expand(value, allowed):
@@ -66,8 +67,8 @@ class ExperimentConfig:
     method: str = "model_based"         # model_based | instance_based | both
     calibration: str = "on"             # on | off | both
     coupling: str = "on"                # on | off | both
-    hidden_sizes: tuple = (64, 32, 16)
-    train: TrainConfig = field(default_factory=lambda: default_train_config())
+    hidden_sizes: tuple = HIDDEN_SIZES
+    train: TrainConfig = field(default_factory=TrainConfig)
     attribution: AttributionConfig = field(default_factory=AttributionConfig)
     ridge: float = 1e-6
     # Shrinks the knockoff gap vector so each knockoff stays correlated with
@@ -87,9 +88,9 @@ class ExperimentConfig:
             raise ConfigurationError("s_scale must lie in (0, 1]")
         self.train.validate()
         self.attribution.validate()
-        _expand(self.method, ("model_based", "instance_based"))
-        _expand(self.calibration, ("on", "off"))
-        _expand(self.coupling, ("on", "off"))
+        _expand(self.method, METHODS)
+        _expand(self.calibration, ON_OFF)
+        _expand(self.coupling, ON_OFF)
 
     def to_dict(self):
         d = asdict(self)
@@ -119,43 +120,22 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def ingest_csv(path, response_column: str, task: str = "regression") -> Dataset:
-    """Load a header-named CSV into a Dataset, validating cell by cell."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file")
-        if response_column not in header:
-            raise ValidationError(
-                f"{path}: response column {response_column!r} not found; "
-                f"available columns: {header}")
-        y_col = header.index(response_column)
-        feature_names = [h for k, h in enumerate(header) if k != y_col]
-        X_rows, y_rows = [], []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: row {rownum} has {len(row)} cells, "
-                                      f"expected {len(header)}")
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise ValidationError(f"{path}: non-numeric or missing cell in row {rownum}")
-            y_val = vals[y_col]
-            if task == "binary" and y_val not in (0.0, 1.0):
-                raise ValidationError(f"{path}: binary response must be 0/1, "
-                                      f"got {y_val} in row {rownum}")
-            X_rows.append([v for k, v in enumerate(vals) if k != y_col])
-            y_rows.append(y_val)
-    if not X_rows:
-        raise ValidationError(f"{path}: no data rows")
-    X = np.asarray(X_rows, dtype=float)
-    y = np.asarray(y_rows, dtype=float)
-    n_train = int(round(0.5 * len(y)))
-    ds = Dataset(X=X, y=y, task=task, ground_truth=None, n_train=n_train)
-    ds.feature_names = feature_names
-    return ds
+    """Load a header-named CSV into a Dataset; a bad cell raises ``ValidationError``
+    naming its row."""
+    header, data = read_table(path)
+    if response_column not in header:
+        raise ValidationError(
+            f"{path}: response column {response_column!r} not found; "
+            f"available columns: {header}")
+    y_col = header.index(response_column)
+    y = data[:, y_col].copy()
+    if task == "binary":
+        bad = np.flatnonzero((y != 0.0) & (y != 1.0))
+        if bad.size:
+            raise ValidationError(f"{path}: binary response must be 0/1, "
+                                  f"got {y[bad[0]]} in row {bad[0] + 2}")
+    return Dataset(X=np.delete(data, y_col, axis=1), y=y, task=task, ground_truth=None,
+                   n_train=int(round(0.5 * len(y))))
 
 
 def selected_original_pairs(selected, p: int) -> set:
@@ -198,9 +178,9 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
         save_model(model, rep_dir / "knockoff_model.npz")
         write_augmented_csv(rep_dir / "augmented.csv", dataset.X, X_ko)
 
-    methods = _expand(cfg.method, ("model_based", "instance_based"))
-    calibrations = _expand(cfg.calibration, ("on", "off"))
-    couplings = _expand(cfg.coupling, ("on", "off"))
+    methods = _expand(cfg.method, METHODS)
+    calibrations = _expand(cfg.calibration, ON_OFF)
+    couplings = _expand(cfg.coupling, ON_OFF)
 
     results = {}
     for coupling in couplings:
@@ -290,44 +270,28 @@ def _write_report(outdir: Path, report: dict):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    with open(outdir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["function", "method", "calibration", "coupling", "q",
-                         "repetition", "auroc", "fdp", "power", "n_selected",
-                         "threshold"])
-        q = report["config"]["q"]
-        for function_id, arms in sorted(report["results"].items()):
-            for arm, arm_report in sorted(arms.items()):
-                method, cal, coup = arm.split("|")
-                for entry in arm_report["repetitions"]:
-                    ev = entry.get("eval", {})
-                    writer.writerow([
-                        function_id, method,
-                        cal.removeprefix("calibration_"),
-                        coup.removeprefix("coupling_"), q,
-                        entry["repetition"],
-                        ev.get("auroc", ""), ev.get("fdp", ""),
-                        ev.get("power", ""), ev.get("n_selected", ""),
-                        entry["selection"]["threshold"],
-                    ])
-
+    q = report["config"]["q"]
+    summary, aggregates = [], []
+    for function_id, arms in sorted(report["results"].items()):
+        for arm, arm_report in sorted(arms.items()):
+            method, cal, coup = arm.split("|")
+            labels = [function_id, method, cal.removeprefix("calibration_"),
+                      coup.removeprefix("coupling_")]
+            for entry in arm_report["repetitions"]:
+                ev = entry.get("eval", {})
+                threshold = entry["selection"]["threshold"]
+                summary.append(labels + [q, entry["repetition"]]
+                               + [ev.get(k, "") for k in
+                                  ("auroc", "fdp", "power", "n_selected")]
+                               + ["" if threshold is None else threshold])
+            agg = arm_report.get("aggregate")
+            if agg:
+                aggregates += [labels + [m, agg[m]["mean"], *agg[m]["ci95"]]
+                               for m in ("auroc", "fdp", "power")]
+    write_table(outdir / "summary.csv",
+                ["function", "method", "calibration", "coupling", "q", "repetition",
+                 "auroc", "fdp", "power", "n_selected", "threshold"], summary)
     # Plot-ready aggregates (bar data per metric, mirroring the panel layout).
-    with open(outdir / "aggregate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["function", "method", "calibration", "coupling",
-                         "metric", "mean", "ci_low", "ci_high"])
-        for function_id, arms in sorted(report["results"].items()):
-            for arm, arm_report in sorted(arms.items()):
-                agg = arm_report.get("aggregate")
-                if not agg:
-                    continue
-                method, cal, coup = arm.split("|")
-                for metric in ("auroc", "fdp", "power"):
-                    stats = agg[metric]
-                    writer.writerow([
-                        function_id, method,
-                        cal.removeprefix("calibration_"),
-                        coup.removeprefix("coupling_"),
-                        metric, repr(float(stats["mean"])),
-                        repr(float(stats["ci95"][0])), repr(float(stats["ci95"][1])),
-                    ])
+    write_table(outdir / "aggregate.csv",
+                ["function", "method", "calibration", "coupling",
+                 "metric", "mean", "ci_low", "ci_high"], aggregates)

@@ -15,13 +15,14 @@ geometric mean of the two univariate magnitudes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError, ContractViolation, ValidationError
+from .fdr import CLASSES, labelled_pairs
 from .network import CoupledNetwork, batch_input_gradient, batch_input_hessian
+from .table import read_table, write_table
 
 METHODS = ("model_based", "instance_based")
 
@@ -144,7 +145,11 @@ def instance_based_2d(net: CoupledNetwork, X_aug: np.ndarray,
 
 def instance_based_1d(net: CoupledNetwork, X_aug: np.ndarray,
                       cfg: AttributionConfig | None = None) -> np.ndarray:
-    """Expected-gradients univariate scores (midpoint grid on the path)."""
+    """Integrated-gradients univariate scores (midpoint grid on the path).
+
+    The baselines are fixed points, by default the dataset mean. This is not
+    expected gradients, which draws its baselines from the data.
+    """
     cfg = cfg or AttributionConfig()
     cfg.validate()
     X_aug = np.asarray(X_aug, dtype=float)
@@ -198,29 +203,16 @@ def compute_scores(net: CoupledNetwork, method: str, X_aug: np.ndarray | None = 
     return ImportanceScores(s1d=s1d, s2d=s2d, calibrated=calibrated, method=method)
 
 
-def pair_class(i: int, j: int, p: int) -> str:
-    """OO / D / DD label for 0-based augmented indices (D = exactly one knockoff)."""
-    n_ko = (i >= p) + (j >= p)
-    return ("OO", "D", "DD")[n_ko]
-
-
 def write_scores_csv(path, scores: ImportanceScores):
     """Long-format export: one row per labelled pair (i, j), 1-based indices.
 
     A feature paired with its own knockoff (j = i + p) carries no signal and
-    is not in the labelled set (see ``fdr.build_gamma``), so it gets no row.
+    is not in the labelled set (see ``fdr.labelled_pairs``), so it gets no row.
     """
-    two_p = scores.s1d.shape[0]
-    p = two_p // 2
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "class", "raw", "calibrated"])
-        for i in range(two_p):
-            for j in range(i + 1, two_p):
-                if j == i + p:
-                    continue
-                writer.writerow([i + 1, j + 1, pair_class(i, j, p),
-                                 repr(float(scores.s2d[i, j])), repr(float(scores.calibrated[i, j]))])
+    i, j, n_ko = labelled_pairs(scores.s1d.shape[0] // 2)
+    write_table(path, ["i", "j", "class", "raw", "calibrated"],
+                zip((i + 1).tolist(), (j + 1).tolist(), np.array(CLASSES)[n_ko].tolist(),
+                    scores.s2d[i, j].tolist(), scores.calibrated[i, j].tolist()))
 
 
 def read_scores_csv(path) -> ImportanceScores:
@@ -228,19 +220,15 @@ def read_scores_csv(path) -> ImportanceScores:
 
     Pairs without a row, such as a feature with its own knockoff, read as 0.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append((int(row["i"]) - 1, int(row["j"]) - 1,
-                         float(row["raw"]), float(row["calibrated"])))
-    if not rows:
-        raise ValidationError(f"{path}: no score rows")
-    two_p = max(max(i, j) for i, j, _, _ in rows) + 1
+    _, data = read_table(path, ["i", "j", "raw", "calibrated"])
+    ij = data[:, :2]
+    if np.any(ij < 1) or np.any(ij != np.floor(ij)):
+        raise ValidationError(f"{path}: pair indices must be positive integers")
+    i, j = ij.T.astype(np.intp) - 1
+    two_p = int(ij.max())
     s2d = np.zeros((two_p, two_p))
     cal = np.zeros((two_p, two_p))
-    for i, j, raw, c in rows:
-        s2d[i, j] = s2d[j, i] = raw
-        cal[i, j] = cal[j, i] = c
+    s2d[i, j] = s2d[j, i] = data[:, 2]
+    cal[i, j] = cal[j, i] = data[:, 3]
     return ImportanceScores(s1d=np.zeros(two_p), s2d=s2d, calibrated=cal,
                             method="model_based")

@@ -14,7 +14,6 @@ Sampling never sees the response, by construction of the interface.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ import numpy as np
 from scipy import linalg
 
 from .exceptions import ConfigurationError, ContractViolation, DegenerateFeatureError
+from .table import float_rows, read_table, write_table
 
 MODEL_VERSION = 1
 
@@ -91,6 +91,8 @@ def fit_gaussian(X: np.ndarray, ridge: float = 0.0,
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ContractViolation(f"need an n x p matrix with n >= 2, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ContractViolation("X must be finite")
     if ridge < 0:
         raise ConfigurationError("ridge must be nonnegative")
     if not 0 < s_scale <= 1:
@@ -152,33 +154,21 @@ def knockoff_diagnostics(X: np.ndarray, X_ko: np.ndarray, model: GaussianKnockof
     }
 
 
-def augmented_matrix(X: np.ndarray, X_ko: np.ndarray) -> np.ndarray:
-    if X.shape != X_ko.shape:
-        raise ContractViolation("X and X_ko shapes differ")
-    return np.hstack([X, X_ko])
-
-
 def write_augmented_csv(path, X: np.ndarray, X_ko: np.ndarray):
     """CSV export with columns x1..xp, x1_ko..xp_ko."""
+    if X.shape != X_ko.shape:
+        raise ContractViolation("X and X_ko shapes differ")
     p = X.shape[1]
-    header = [f"x{j+1}" for j in range(p)] + [f"x{j+1}_ko" for j in range(p)]
-    aug = augmented_matrix(X, X_ko)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in aug:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, [f"x{j+1}" for j in range(p)] + [f"x{j+1}_ko" for j in range(p)],
+                float_rows(X, X_ko))
 
 
 def read_augmented_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+    header, data = read_table(path)
     n_ko = sum(1 for name in header if name.endswith("_ko"))
     if n_ko * 2 != len(header):
         raise ContractViolation("augmented CSV must have equal original and _ko columns")
-    return np.asarray(rows, dtype=float)
+    return data
 
 
 def save_model(model: GaussianKnockoffModel, path):

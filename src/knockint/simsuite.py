@@ -10,13 +10,13 @@ suite reruns.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError, GenerationError
+from .table import float_rows, read_table, write_table
 
 FUNCTION_IDS = tuple(f"F{k}" for k in range(1, 11))
 
@@ -181,17 +181,6 @@ def generate(spec: SimulationSpec) -> Dataset:
                    n_train=n_train)
 
 
-@dataclass
-class GroundTruth:
-    pairs: set
-
-
-def ground_truth(function_id: str) -> GroundTruth:
-    if function_id not in GROUND_TRUTH_PAIRS:
-        raise ConfigurationError(f"unknown function id {function_id!r}")
-    return GroundTruth(pairs=set(GROUND_TRUTH_PAIRS[function_id]))
-
-
 def mixed_partial(function_id: str, i: int, j: int, point: np.ndarray,
                   h: float = 1e-2) -> float:
     """Central cross-difference estimate of d2F / dx_i dx_j (1-based i, j).
@@ -249,12 +238,8 @@ def write_dataset_csv(path, dataset: Dataset, manifest_path=None,
                       spec: SimulationSpec | None = None):
     """CSV with header x1..xp, y; optional sidecar JSON manifest."""
     p = dataset.X.shape[1]
-    header = [f"x{j+1}" for j in range(p)] + ["y"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row, target in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
+    write_table(path, [f"x{j+1}" for j in range(p)] + ["y"],
+                float_rows(dataset.X, dataset.y))
     if manifest_path is not None:
         manifest = {
             "task": dataset.task,
@@ -265,30 +250,19 @@ def write_dataset_csv(path, dataset: Dataset, manifest_path=None,
             if dataset.ground_truth else None,
         }
         if spec is not None:
-            manifest["spec"] = {
-                "function_id": spec.function_id, "n": spec.n, "p": spec.p,
-                "seed": spec.seed, "train_fraction": spec.train_fraction,
-            }
+            manifest["spec"] = asdict(spec)
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def read_dataset_csv(path, manifest_path=None) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.asarray(rows, dtype=float)
-    X, y = data[:, :-1], data[:, -1]
-    task = "regression"
-    truth = None
-    n_train = None
+    _, data = read_table(path)
+    manifest = {}
     if manifest_path is not None:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        task = manifest.get("task", "regression")
-        n_train = manifest.get("n_train")
-        pairs = manifest.get("ground_truth_pairs")
-        truth = {tuple(pr) for pr in pairs} if pairs else None
-    return Dataset(X=X, y=y, task=task, ground_truth=truth, n_train=n_train)
+    pairs = manifest.get("ground_truth_pairs")
+    return Dataset(X=data[:, :-1], y=data[:, -1], task=manifest.get("task", "regression"),
+                   ground_truth={tuple(pr) for pr in pairs} if pairs else None,
+                   n_train=manifest.get("n_train"))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knockint.exceptions import ConfigurationError, ContractViolation
-from knockint.fdr import (LabeledScore, build_gamma, feature_threshold,
+from knockint.fdr import (CLASSES, PAIR_DTYPE, build_gamma, feature_threshold,
                           interaction_threshold, knockoff_stats,
                           write_selection_csv, write_selection_json)
 
@@ -27,21 +27,19 @@ def _symmetric(p, rng, sparsity=0.0):
 def test_gamma_p2_pairs():
     S = _symmetric(2, np.random.default_rng(0))
     gamma = build_gamma(S)
-    pairs = {(g.i + 1, g.j + 1) for g in gamma}
+    pairs = set(zip((gamma["i"] + 1).tolist(), (gamma["j"] + 1).tolist()))
     assert pairs == {(1, 2), (1, 4), (2, 3), (3, 4)}
 
 
 def test_gamma_p1_empty():
     S = _symmetric(1, np.random.default_rng(0))
-    assert build_gamma(S) == []
+    assert len(build_gamma(S)) == 0
 
 
 def test_gamma_p3_class_counts():
     S = _symmetric(3, np.random.default_rng(0))
     gamma = build_gamma(S)
-    counts = {"OO": 0, "D": 0, "DD": 0}
-    for g in gamma:
-        counts[g.klass] += 1
+    counts = dict(zip(CLASSES, np.bincount(gamma["n_ko"], minlength=3).tolist()))
     assert counts == {"OO": 3, "D": 6, "DD": 3}
     assert len(gamma) == 2 * 3 * (2 * 3 - 1) // 2 - 3
 
@@ -50,6 +48,15 @@ def test_gamma_count_formula():
     for p in (2, 4, 7):
         S = _symmetric(p, np.random.default_rng(p))
         assert len(build_gamma(S)) == 2 * p * (2 * p - 1) // 2 - p
+
+
+def test_gamma_matches_pair_loop():
+    # Reference: the pair loop, row-major over i < j, skipping j = i + p.
+    p = 4
+    S = _symmetric(p, np.random.default_rng(4))
+    expect = [(i, j, S[i, j], (i >= p) + (j >= p))
+              for i in range(2 * p) for j in range(i + 1, 2 * p) if j != i + p]
+    assert build_gamma(S).tolist() == expect
 
 
 def test_gamma_rejects_asymmetric():
@@ -61,15 +68,16 @@ def test_gamma_rejects_asymmetric():
 
 # ---------------------------------------------------------------- threshold
 
-def _ls(i, j, score, klass):
-    return LabeledScore(i=i, j=j, score=score, klass=klass)
+def _gamma(*rows):
+    """A pair-set array from (i, j, score, class) rows."""
+    return np.array([(i, j, s, CLASSES.index(k)) for i, j, s, k in rows], dtype=PAIR_DTYPE)
 
 
 def test_threshold_spec_example_basic():
     # OO = {5, 4, 3}, D = {2.5}, q = 0.5. At t=2.5 the estimate is
     # (1+1)/3 = 2/3 > q; at t=3 it is (1+0)/3 = 1/3 <= q.
-    gamma = [_ls(0, 1, 5.0, "OO"), _ls(0, 2, 4.0, "OO"), _ls(1, 2, 3.0, "OO"),
-             _ls(0, 5, 2.5, "D")]
+    gamma = _gamma((0, 1, 5.0, "OO"), (0, 2, 4.0, "OO"), (1, 2, 3.0, "OO"),
+                   (0, 5, 2.5, "D"))
     res = interaction_threshold(gamma, 0.5)
     assert res.threshold == 3.0
     assert {(g[0], g[1]) for g in res.selected} == {(0, 1), (0, 2), (1, 2)}
@@ -77,8 +85,8 @@ def test_threshold_spec_example_basic():
 
 
 def test_threshold_none_feasible_when_knockoffs_dominate():
-    gamma = [_ls(0, 1, 1.0, "OO"),
-             _ls(0, 5, 9.0, "D"), _ls(1, 4, 7.0, "D")]
+    gamma = _gamma((0, 1, 1.0, "OO"),
+                   (0, 5, 9.0, "D"), (1, 4, 7.0, "D"))
     res = interaction_threshold(gamma, 0.1)
     assert not res.feasible
     assert res.selected == []
@@ -89,10 +97,10 @@ def test_threshold_dd_pairs_do_not_enter_estimate():
     # DD pairs control D pairs, not OO pairs, so adding them at or above the
     # threshold leaves the threshold and the estimate as they are; they are
     # still counted.
-    base = [_ls(0, 1, 5.0, "OO"), _ls(0, 2, 4.0, "OO"), _ls(1, 2, 4.0, "OO"),
-            _ls(2, 3, 4.0, "OO"), _ls(0, 5, 4.0, "D")]
+    base = [(0, 1, 5.0, "OO"), (0, 2, 4.0, "OO"), (1, 2, 4.0, "OO"),
+            (2, 3, 4.0, "OO"), (0, 5, 4.0, "D")]
     for dd_scores in ([], [4.0, 4.0, 4.0], [6.0, 6.0], [4.5]):
-        gamma = base + [_ls(4, 5 + k, s, "DD") for k, s in enumerate(dd_scores)]
+        gamma = _gamma(*base, *[(4, 5 + k, s, "DD") for k, s in enumerate(dd_scores)])
         res = interaction_threshold(gamma, 0.5)
         assert res.threshold == 4.0
         assert res.estimated_fdp == pytest.approx(0.5)
@@ -100,10 +108,10 @@ def test_threshold_dd_pairs_do_not_enter_estimate():
     # A second D pair tips t=4 over q, (1+2)/4 = 0.75, and no number of DD
     # pairs brings it back; t=5 has one OO pair and (1+1)/1 = 2. (A rule that
     # subtracts 2 per DD pair would go below zero with three DD pairs at 4.)
-    extra_d = [_ls(1, 6, 7.0, "D")]
+    extra_d = [(1, 6, 7.0, "D")]
     for dd_scores in ([], [4.0, 4.0, 4.0]):
-        gamma = base + extra_d + [_ls(4, 5 + k, s, "DD")
-                                  for k, s in enumerate(dd_scores)]
+        gamma = _gamma(*base, *extra_d, *[(4, 5 + k, s, "DD")
+                                          for k, s in enumerate(dd_scores)])
         assert not interaction_threshold(gamma, 0.5).feasible
 
 
@@ -113,7 +121,7 @@ def test_threshold_empty_gamma():
 
 
 def test_threshold_rejects_bad_q():
-    gamma = [_ls(0, 1, 1.0, "OO")]
+    gamma = _gamma((0, 1, 1.0, "OO"))
     with pytest.raises(ConfigurationError):
         interaction_threshold(gamma, 0.0)
     with pytest.raises(ConfigurationError):
@@ -122,11 +130,11 @@ def test_threshold_rejects_bad_q():
 
 def _brute_force_threshold(gamma, q):
     """Independent oracle: scan every unique nonzero score directly."""
-    candidates = sorted({g.score for g in gamma if g.score > 0})
+    candidates = sorted({float(g["score"]) for g in gamma if g["score"] > 0})
     for t in candidates:
-        above = [g for g in gamma if g.score >= t]
-        n_oo = sum(1 for g in above if g.klass == "OO")
-        n_d = sum(1 for g in above if g.klass == "D")
+        above = [g for g in gamma if g["score"] >= t]
+        n_oo = sum(1 for g in above if CLASSES[g["n_ko"]] == "OO")
+        n_d = sum(1 for g in above if CLASSES[g["n_ko"]] == "D")
         if (1 + n_d) / max(n_oo, 1) <= q:
             return t
     return None
@@ -139,9 +147,9 @@ def _random_gamma(rng, n):
     out = []
     for k in range(n):
         i = int(rng.integers(0, 10))
-        out.append(_ls(i, i + 1 + int(rng.integers(0, 5)),
-                       float(scores[k]), str(klasses[k])))
-    return out
+        out.append((i, i + 1 + int(rng.integers(0, 5)),
+                    float(scores[k]), str(klasses[k])))
+    return _gamma(*out)
 
 
 def test_threshold_matches_brute_force_randomized():
@@ -161,7 +169,7 @@ def test_threshold_matches_brute_force_randomized():
 def test_threshold_oracle_property(items, q):
     # Integer-valued scores guarantee heavy ties; the scan must still agree
     # with the brute-force oracle exactly.
-    gamma = [_ls(k, k + 11, float(s), klass) for k, (klass, s) in enumerate(items)]
+    gamma = _gamma(*[(k, k + 11, float(s), klass) for k, (klass, s) in enumerate(items)])
     res = interaction_threshold(gamma, q)
     assert (res.threshold if res.feasible else None) == _brute_force_threshold(gamma, q)
 
@@ -172,7 +180,7 @@ def test_threshold_oracle_property(items, q):
 @settings(max_examples=100, deadline=None)
 def test_threshold_monotone_in_q(items, q1, dq):
     # Raising q can only enlarge (or keep) the selected set.
-    gamma = [_ls(k, k + 11, float(s), klass) for k, (klass, s) in enumerate(items)]
+    gamma = _gamma(*[(k, k + 11, float(s), klass) for k, (klass, s) in enumerate(items)])
     lo = interaction_threshold(gamma, q1)
     hi = interaction_threshold(gamma, q1 + dq)
     assert set(map(tuple, lo.selected)) <= set(map(tuple, hi.selected))
@@ -182,7 +190,7 @@ def test_threshold_permutation_equivariant():
     rng = np.random.default_rng(7)
     gamma = _random_gamma(rng, 25)
     res = interaction_threshold(gamma, 0.3)
-    shuffled = list(gamma)
+    shuffled = gamma.copy()
     rng.shuffle(shuffled)
     res2 = interaction_threshold(shuffled, 0.3)
     assert res.threshold == res2.threshold

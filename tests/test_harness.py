@@ -11,7 +11,9 @@ from knockint.exceptions import ConfigurationError, ValidationError
 from knockint.harness import (ExperimentConfig, derive_seed, ingest_csv,
                               oo_score_map, run_experiment, run_repetition,
                               selected_original_pairs)
+from knockint.importance import AttributionConfig
 from knockint.network import TrainConfig
+from knockint.simsuite import SimulationSpec
 from knockint import cli
 
 
@@ -86,6 +88,14 @@ def test_ingest_bad_binary_value(tmp_path):
 def test_ingest_non_numeric_cell(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,y\n1,2\nx,3\n")
+    with pytest.raises(ValidationError, match="row 3"):
+        ingest_csv(path, "y")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_ingest_non_finite_cell(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,y\n1,2\n{cell},3\n")
     with pytest.raises(ValidationError, match="row 3"):
         ingest_csv(path, "y")
 
@@ -208,6 +218,15 @@ def test_cli_runtime_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_cli_knockoff_empty_data_exit_code(tmp_path):
+    data = tmp_path / "empty.csv"
+    data.write_text("")
+    rc = _run_cli(["knockoff", "--data", str(data),
+                   "--augmented-out", str(tmp_path / "a.csv"),
+                   "--model-out", str(tmp_path / "m.npz")])
+    assert rc == 2
+
+
 def test_cli_select_header_only_scores_exit_code(tmp_path):
     scores = tmp_path / "scores.csv"
     scores.write_text("i,j,class,raw,calibrated\n")
@@ -282,3 +301,64 @@ def test_cli_output_root_env(tmp_path, monkeypatch):
     assert _run_cli(["simulate", "--function", "F6", "--n", "50", "--p", "10",
                      "--out", "sub/data.csv"]) == 0
     assert (tmp_path / "sub" / "data.csv").exists()
+
+
+# Option names of each subcommand, as the CLI has always had them.
+CLI_OPTIONS = {
+    "simulate": "--function --n --p --seed --train-fraction --out --manifest",
+    "knockoff": "--data --manifest --seed --ridge --s-scale --augmented-out --model-out "
+                "--diagnostics",
+    "train": "--data --manifest --augmented --hidden --coupling --learning-rate --epochs "
+             "--batch-size --l1-filter-penalty --l1-mlp-penalty --grad-clip "
+             "--validation-fraction --seed --net-out --trace-out",
+    "score": "--net --augmented --manifest --method --alpha-steps --beta-steps --sample-cap "
+             "--out",
+    "select": "--scores --q --use-raw --json-out --csv-out",
+    "evaluate": "--selection --scores --manifest --out",
+    "run": "--config --functions --dataset --response-column --task --n --p --q "
+           "--repetitions --method --calibration --coupling --learning-rate --epochs "
+           "--batch-size --l1-filter-penalty --l1-mlp-penalty --grad-clip --s-scale --seed "
+           "--paper-scale --no-intermediates --out",
+}
+
+CLI_REQUIRED = {
+    "simulate": ["--function", "F1", "--out", "x"],
+    "knockoff": ["--data", "x", "--augmented-out", "x", "--model-out", "x"],
+    "train": ["--data", "x", "--augmented", "x", "--net-out", "x"],
+    "score": ["--net", "x", "--augmented", "x", "--out", "x"],
+    "select": ["--scores", "x", "--json-out", "x"],
+    "evaluate": ["--selection", "x", "--scores", "x", "--manifest", "x", "--out", "x"],
+    "run": [],
+}
+
+_TRAIN = ("learning_rate epochs batch_size l1_filter_penalty l1_mlp_penalty grad_clip")
+
+# Options whose default is a config field's default: (config, field names).
+CLI_CONFIG_DEFAULTS = {
+    "simulate": [(SimulationSpec("F1"), "n p seed train_fraction")],
+    "knockoff": [(ExperimentConfig(), "ridge s_scale")],
+    "train": [(TrainConfig(), _TRAIN + " validation_fraction seed"),
+              (ExperimentConfig(), "coupling")],
+    "score": [(ExperimentConfig(), "method"),
+              (AttributionConfig(), "alpha_steps beta_steps sample_cap")],
+    "select": [(ExperimentConfig(), "q")],
+    "evaluate": [],
+    "run": [(TrainConfig(), _TRAIN),
+            (ExperimentConfig(), "task n p q repetitions method calibration coupling "
+                                 "s_scale seed")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
+def test_cli_options_and_defaults_come_from_configs(command):
+    args = cli.build_parser().parse_args([command] + CLI_REQUIRED[command])
+    names = {"--" + dest.replace("_", "-") for dest in vars(args)} - {"--command", "--func"}
+    assert names == set(CLI_OPTIONS[command].split())
+    for config, fields in CLI_CONFIG_DEFAULTS[command]:
+        for name in fields.split():
+            default = getattr(config, name)
+            assert getattr(args, name) == default and type(getattr(args, name)) is type(default), name
+    if command == "train":
+        assert args.hidden == ",".join(map(str, ExperimentConfig().hidden_sizes))
+    if command == "run":
+        assert args.functions == ",".join(ExperimentConfig().functions)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from knockint.exceptions import ConfigurationError, ContractViolation, ValidationError
-from knockint.fdr import build_gamma
+from knockint.fdr import CLASSES, build_gamma
 from knockint.importance import (AttributionConfig, ImportanceScores, calibrate,
                                  compute_scores, instance_based_1d,
                                  instance_based_2d, model_based_1d,
-                                 model_based_2d, pair_class, read_scores_csv,
+                                 model_based_2d, read_scores_csv,
                                  write_scores_csv)
 from knockint.network import CoupledNetwork, TrainConfig, init_network, train
 
@@ -147,7 +147,8 @@ def test_instance_2d_product_interaction_dominates():
     net = init_network(3, hidden_sizes=(16, 8, 4), seed=0)
     trained, _ = train(net, aug[:2000], y[:2000],
                        TrainConfig(epochs=150, batch_size=64, seed=0,
-                                   l1_filter_penalty=0.0))
+                                   l1_filter_penalty=0.0, l1_mlp_penalty=0.0,
+                                   grad_clip=None))
     from knockint.network import predict
     r2 = 1 - np.mean((predict(trained, aug[2000:]) - y[2000:]) ** 2) / np.var(y[2000:])
     assert r2 > 0.99
@@ -237,12 +238,6 @@ def test_calibrated_knockoff_scores_rescale_original():
 
 # ---------------------------------------------------------------- plumbing
 
-def test_pair_class():
-    assert pair_class(0, 1, 3) == "OO"
-    assert pair_class(0, 4, 3) == "D"
-    assert pair_class(3, 5, 3) == "DD"
-
-
 def test_compute_scores_dispatch_and_csv(tmp_path):
     net = random_network(p=2, seed=10)
     X = np.random.default_rng(5).uniform(size=(5, 4))
@@ -274,7 +269,8 @@ def test_quadrature_convergence_on_trained_net():
     aug = np.hstack([X, rng.uniform(size=(1500, 4))])
     net = init_network(4, hidden_sizes=(12, 8, 4), seed=1)
     trained, _ = train(net, aug[:1000], y[:1000],
-                       TrainConfig(epochs=60, batch_size=64, seed=1))
+                       TrainConfig(epochs=60, batch_size=64, seed=1,
+                                   l1_mlp_penalty=0.0, grad_clip=None))
     lo = instance_based_2d(trained, aug[1000:1010],
                            AttributionConfig(alpha_steps=32, beta_steps=32))
     hi = instance_based_2d(trained, aug[1000:1010],
@@ -295,8 +291,9 @@ def test_scores_csv_rows_match_gamma(tmp_path):
     with open(path, newline="") as fh:
         rows = [(int(r["i"]) - 1, int(r["j"]) - 1, r["class"]) for r in csv.DictReader(fh)]
     gamma = build_gamma(S)
-    assert Counter(c for _, _, c in rows) == Counter(g.klass for g in gamma)
-    assert sorted(rows) == sorted((g.i, g.j, g.klass) for g in gamma)
+    klass = [CLASSES[k] for k in gamma["n_ko"]]
+    assert Counter(c for _, _, c in rows) == Counter(klass)
+    assert sorted(rows) == sorted(zip(gamma["i"].tolist(), gamma["j"].tolist(), klass))
 
 
 def test_read_scores_csv_header_only(tmp_path):

@@ -5,9 +5,8 @@ import pytest
 from scipy import linalg
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
-                                 DegenerateFeatureError)
-from knockint.knockoff import (GaussianKnockoffModel, augmented_matrix,
-                               fit_gaussian, knockoff_diagnostics, load_model,
+                                 DegenerateFeatureError, ValidationError)
+from knockint.knockoff import (GaussianKnockoffModel, fit_gaussian, knockoff_diagnostics, load_model,
                                read_augmented_csv, sample_knockoffs, save_model,
                                solve_s, write_augmented_csv)
 
@@ -60,6 +59,14 @@ def test_fit_iid_normal_sigma_near_identity(rng):
 def test_fit_rejects_single_row():
     with pytest.raises(ContractViolation):
         fit_gaussian(np.ones((1, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite(rng, bad):
+    X = rng.standard_normal((50, 3))
+    X[7, 1] = bad
+    with pytest.raises(ContractViolation, match="finite"):
+        fit_gaussian(X, ridge=1e-6)
 
 
 def test_fit_duplicated_column_with_ridge(rng):
@@ -187,7 +194,14 @@ def test_augmented_csv_roundtrip(tmp_path, rng):
     header = path.read_text().splitlines()[0]
     assert header == "x1,x2,x3,x1_ko,x2_ko,x3_ko"
     back = read_augmented_csv(path)
-    np.testing.assert_array_equal(back, augmented_matrix(X, Xko))
+    np.testing.assert_array_equal(back, np.hstack([X, Xko]))
+
+
+def test_read_augmented_csv_header_only(tmp_path):
+    path = tmp_path / "aug.csv"
+    path.write_text("x1,x1_ko\r\n")
+    with pytest.raises(ValidationError, match="no data rows"):
+        read_augmented_csv(path)
 
 
 def test_model_roundtrip(tmp_path, rng):

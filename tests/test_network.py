@@ -243,7 +243,8 @@ def test_train_learns_linear_target():
     X = rng.uniform(size=(2000, 4))
     y = 3.0 * X[:, 0]
     net = init_network(2, hidden_sizes=(16, 8, 4), seed=1)
-    cfg = TrainConfig(epochs=120, batch_size=64, seed=1, l1_filter_penalty=0.0)
+    cfg = TrainConfig(epochs=120, batch_size=64, seed=1, l1_filter_penalty=0.0,
+                      l1_mlp_penalty=0.0, grad_clip=None)
     trained, _ = train(net, X[:1000], y[:1000], cfg)
     resid = predict(trained, X[1000:]) - y[1000:]
     assert np.mean(resid ** 2) < 0.01 * np.var(y[1000:])
@@ -278,7 +279,8 @@ def test_train_binary_task():
     X = rng.uniform(size=(600, 4))
     y = (X[:, 0] > 0.5).astype(float)
     net = init_network(2, hidden_sizes=(8, 6, 4), task="binary", seed=0)
-    trained, trace = train(net, X, y, TrainConfig(epochs=40, batch_size=64, seed=0))
+    trained, trace = train(net, X, y, TrainConfig(epochs=40, batch_size=64, seed=0,
+                                                  l1_mlp_penalty=0.0, grad_clip=None))
     acc = np.mean((predict(trained, X) > 0.5) == y)
     assert acc > 0.9
     assert trace["train_loss"][-1] < trace["train_loss"][0]
@@ -421,7 +423,7 @@ def test_train_bit_identical_to_reference(coupling, task, grad_clip, penalized):
         y = (y > 0).astype(float)
     net = init_network(4, hidden_sizes=(7, 5, 3), task=task, seed=4, coupling=coupling)
     extra = (dict(l1_filter_penalty=1e-3, l1_mlp_penalty=5e-4, validation_fraction=0.2)
-             if penalized else dict(l1_filter_penalty=0.0))
+             if penalized else dict(l1_filter_penalty=0.0, l1_mlp_penalty=0.0))
     cfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=30, seed=5,
                       grad_clip=grad_clip, **extra)
     ref, ref_trace, clipped = _reference_train(net, X, y, cfg)

@@ -8,7 +8,7 @@ import pytest
 from knockint.exceptions import ConfigurationError, GenerationError
 from knockint.simsuite import (FUNCTIONS, GROUND_TRUTH_PAIRS, Dataset,
                                SimulationSpec, evaluate_function, generate,
-                               ground_truth, mixed_partial, read_dataset_csv,
+                               mixed_partial, read_dataset_csv,
                                verify_ground_truth, write_dataset_csv)
 
 
@@ -74,7 +74,7 @@ def test_spec_validation():
 
 def test_ground_truth_paper_worked_example():
     # x8*x9*x10 inside F5 decomposes into all within-term pairs.
-    gt = ground_truth("F5").pairs
+    gt = GROUND_TRUTH_PAIRS["F5"]
     assert {(8, 9), (8, 10), (9, 10)} <= gt
     assert {(1, 2), (1, 3), (2, 3), (4, 5)} <= gt
 
@@ -83,11 +83,6 @@ def test_ground_truth_pairs_within_first_ten():
     for fid, pairs in GROUND_TRUTH_PAIRS.items():
         for i, j in pairs:
             assert 1 <= i < j <= 10, (fid, i, j)
-
-
-def test_ground_truth_unknown_id():
-    with pytest.raises(ConfigurationError):
-        ground_truth("F11")
 
 
 def test_mixed_partial_product_term():
