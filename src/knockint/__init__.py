@@ -14,8 +14,7 @@ from .importance import (AttributionConfig, ImportanceScores, calibrate,
 from .knockoff import (GaussianKnockoffModel, fit_gaussian, knockoff_diagnostics,
                        sample_knockoffs, solve_s)
 from .metrics import EvalReport, aggregate, auroc, evaluate, fdp_power
-from .network import (CoupledNetwork, TrainConfig, forward, init_network,
-                      input_gradient, input_hessian, load_network, predict,
-                      save_network, train)
+from .network import (CoupledNetwork, TrainConfig, init_network, load_network,
+                      predict, pull_back, save_network, train)
 from .simsuite import (GROUND_TRUTH_PAIRS, Dataset, SimulationSpec, generate,
                        mixed_partial, verify_ground_truth)

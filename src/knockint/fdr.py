@@ -57,7 +57,7 @@ class SelectionResult:
     def to_dict(self) -> dict:
         return {
             "threshold": self.threshold,
-            "selected": [list(pair) for pair in self.selected],
+            "selected": np.asarray(self.selected).tolist(),  # pairs or feature indices
             "estimated_fdp": self.estimated_fdp,
             "q": self.q,
             "counts": self.counts,

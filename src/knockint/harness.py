@@ -1,9 +1,11 @@
 """Experiment orchestration: simulate -> knockoff -> train -> score ->
 select -> evaluate, with repetition management and report emission.
 
-Each repetition runs in its own subdirectory of the output directory and
-communicates between stages only through serialized files, so every stage
-can also be run standalone from the CLI. Per-repetition seeds are derived
+Within a repetition the stages pass arrays to each other in memory. With
+``save_intermediates`` on, each repetition also writes every stage's output
+to its own subdirectory of the output directory, in the formats the
+standalone CLI stages read, so any stage can be rerun from those files; with
+it off, only the report files are written. Per-repetition seeds are derived
 by hashing (master seed, function, repetition), making repetitions
 independent and individually rerunnable.
 """

@@ -3,8 +3,8 @@
 Two families:
 
 * model-based — read directly off the trained weights: the first-layer rows,
-  scaled by the coupling weights, aggregated through the product of the
-  deeper weight matrices;
+  pulled back through the coupling layer (``network.pull_back``), aggregated
+  through the product of the deeper weight matrices;
 * instance-based — path-integrated input gradients (univariate) and
   path-integrated input Hessians (pairwise), accumulated over samples.
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, ContractViolation, ValidationError
 from .fdr import CLASSES, labelled_pairs
-from .network import CoupledNetwork, batch_input_gradient, batch_input_hessian
+from .network import CoupledNetwork, batch_input_gradient, batch_input_hessian, pull_back
 from .table import read_table, write_table
 
 METHODS = ("model_based", "instance_based")
@@ -61,24 +61,10 @@ def _aggregate_weights(net: CoupledNetwork) -> np.ndarray:
     return (net.w[1] @ net.w[2] @ net.w[3])[:, 0]
 
 
-def _first_layer_rows(net: CoupledNetwork) -> np.ndarray:
-    """Per-augmented-input first-layer rows scaled by the coupling weights.
-
-    Coupled nets duplicate the p x p1 first-layer matrix across the original
-    and knockoff halves and scale by z / z_tilde; the ablation variant
-    already has 2p rows and no coupling weights.
-    """
-    if net.coupling:
-        stacked = np.vstack([net.w[0], net.w[0]])
-        z_agg = np.concatenate([net.z, net.z_tilde])
-        return z_agg[:, None] * stacked
-    return net.w[0]
-
-
 def model_based_2d(net: CoupledNetwork) -> np.ndarray:
-    """Weight-path interaction scores: A diag(w_agg) A^T on the scaled rows."""
+    """Weight-path interaction scores: A diag(w_agg) A^T on the pulled-back rows."""
     net.check_finite()
-    A = _first_layer_rows(net)
+    A = pull_back(net, net.w[0], (0,))
     w_agg = _aggregate_weights(net)
     s2d = (A * w_agg) @ A.T
     return (s2d + s2d.T) / 2.0
@@ -86,11 +72,7 @@ def model_based_2d(net: CoupledNetwork) -> np.ndarray:
 
 def model_based_1d(net: CoupledNetwork) -> np.ndarray:
     net.check_finite()
-    w_agg = _aggregate_weights(net)
-    if net.coupling:
-        w1d = net.w[0] @ w_agg
-        return np.concatenate([net.z * w1d, net.z_tilde * w1d])
-    return net.w[0] @ w_agg
+    return pull_back(net, net.w[0] @ _aggregate_weights(net), (0,))
 
 
 def _resolve_baselines(cfg: AttributionConfig, X_aug: np.ndarray) -> np.ndarray:
@@ -106,6 +88,37 @@ def _resolve_baselines(cfg: AttributionConfig, X_aug: np.ndarray) -> np.ndarray:
     return baselines
 
 
+def _midpoints(steps: int) -> np.ndarray:
+    return (np.arange(steps) + 0.5) / steps
+
+
+def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfig | None,
+                   grid, derivative, weight, what: str) -> np.ndarray:
+    """Sum over samples of ``weight(dx)`` times the mean of ``derivative`` on
+    the path points ``x' + t dx``, ``t`` in ``grid(cfg)``, averaged over the
+    baselines ``x'``.
+
+    Samples are the first ``sample_cap`` rows of ``X_aug``; ``dx = x - x'``.
+    ``derivative`` is called once per sample, on all of its path points.
+    """
+    cfg = cfg or AttributionConfig()
+    cfg.validate()
+    X_aug = np.asarray(X_aug, dtype=float)
+    if X_aug.ndim != 2:
+        raise ContractViolation("X_aug must be 2-D")
+    baselines = _resolve_baselines(cfg, X_aug)
+    t = grid(cfg)
+    total = weight(np.zeros(X_aug.shape[1]))   # zeros in the result's shape
+    for base in baselines:
+        for k, x in enumerate(X_aug[:cfg.sample_cap]):
+            dx = x - base
+            values = derivative(net, base[None, :] + t[:, None] * dx[None, :])
+            if not np.all(np.isfinite(values)):
+                raise FloatingPointError(f"non-finite {what} for sample {k}")
+            total += weight(dx) * values.mean(axis=0)
+    return total / baselines.shape[0]
+
+
 def instance_based_2d(net: CoupledNetwork, X_aug: np.ndarray,
                       cfg: AttributionConfig | None = None) -> np.ndarray:
     """Path-integrated Hessian interaction scores.
@@ -116,30 +129,10 @@ def instance_based_2d(net: CoupledNetwork, X_aug: np.ndarray,
     (x_i - x'_i)(x_j - x'_j); contributions are summed over samples (up to
     ``sample_cap``) and averaged over baselines.
     """
-    cfg = cfg or AttributionConfig()
-    cfg.validate()
-    X_aug = np.asarray(X_aug, dtype=float)
-    if X_aug.ndim != 2:
-        raise ContractViolation("X_aug must be 2-D")
-    baselines = _resolve_baselines(cfg, X_aug)
-    samples = X_aug[:cfg.sample_cap]
-    D = X_aug.shape[1]
-
-    alphas = (np.arange(cfg.alpha_steps) + 0.5) / cfg.alpha_steps
-    betas = (np.arange(cfg.beta_steps) + 0.5) / cfg.beta_steps
-    t_grid = np.outer(alphas, betas).ravel()
-
-    total = np.zeros((D, D))
-    for base in baselines:
-        for k, x in enumerate(samples):
-            dx = x - base
-            points = base[None, :] + t_grid[:, None] * dx[None, :]
-            H = batch_input_hessian(net, points)
-            if not np.all(np.isfinite(H)):
-                raise FloatingPointError(f"non-finite Hessian for sample {k}")
-            Hbar = H.mean(axis=0)
-            total += np.outer(dx, dx) * Hbar
-    total /= baselines.shape[0]
+    total = _path_integral(
+        net, X_aug, cfg,
+        lambda c: np.outer(_midpoints(c.alpha_steps), _midpoints(c.beta_steps)).ravel(),
+        batch_input_hessian, lambda dx: np.outer(dx, dx), "Hessian")
     return (total + total.T) / 2.0
 
 
@@ -150,26 +143,8 @@ def instance_based_1d(net: CoupledNetwork, X_aug: np.ndarray,
     The baselines are fixed points, by default the dataset mean. This is not
     expected gradients, which draws its baselines from the data.
     """
-    cfg = cfg or AttributionConfig()
-    cfg.validate()
-    X_aug = np.asarray(X_aug, dtype=float)
-    if X_aug.ndim != 2:
-        raise ContractViolation("X_aug must be 2-D")
-    baselines = _resolve_baselines(cfg, X_aug)
-    samples = X_aug[:cfg.sample_cap]
-    D = X_aug.shape[1]
-    alphas = (np.arange(cfg.alpha_steps) + 0.5) / cfg.alpha_steps
-
-    total = np.zeros(D)
-    for base in baselines:
-        for k, x in enumerate(samples):
-            dx = x - base
-            points = base[None, :] + alphas[:, None] * dx[None, :]
-            grads = batch_input_gradient(net, points)
-            if not np.all(np.isfinite(grads)):
-                raise FloatingPointError(f"non-finite gradient for sample {k}")
-            total += dx * grads.mean(axis=0)
-    return total / baselines.shape[0]
+    return _path_integral(net, X_aug, cfg, lambda c: _midpoints(c.alpha_steps),
+                          batch_input_gradient, lambda dx: dx, "gradient")
 
 
 def calibrate(s2d: np.ndarray, s1d: np.ndarray, epsilon_floor: float = 1e-12) -> np.ndarray:

@@ -9,7 +9,12 @@ An ablation variant (``coupling=False``) replaces the coupling layer with a
 plain dense first layer on all ``2p`` inputs.
 
 All differentiation is done analytically: reverse mode for input gradients,
-forward-over-reverse for input Hessians.
+forward-over-reverse for input Hessians. Both are taken in filter space, with
+respect to the ``d0`` filter outputs ``h0`` (``p`` with coupling, ``2p``
+without), so the Hessian pushes ``d0`` tangents. The coupling layer is the
+linear map ``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its
+transpose, which carries a derivative from filter space to the ``2p``
+augmented inputs. No other module reads ``z`` or ``z_tilde``.
 
 ``train`` keeps every parameter in one float64 buffer (``w0..w3``, then
 ``z, z_tilde``, then ``b0..b3``) and rebinds the network's arrays as views of
@@ -34,19 +39,6 @@ TASKS = ("regression", "binary")
 SERIALIZATION_VERSION = 1
 
 HIDDEN_SIZES = (64, 32, 16)
-
-
-def _elu(u):
-    return np.where(u > 0, u, np.expm1(np.minimum(u, 0.0)))
-
-
-def _elu_prime(u):
-    return np.where(u > 0, 1.0, np.exp(np.minimum(u, 0.0)))
-
-
-def _elu_second(u):
-    # Left-limit convention at the kink: d2/du2 = exp(u) for u <= 0, else 0.
-    return np.where(u > 0, 0.0, np.exp(np.minimum(u, 0.0)))
 
 
 def _sigmoid(u):
@@ -187,28 +179,44 @@ def _filter_layer(net: CoupledNetwork, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def pull_back(net: CoupledNetwork, G: np.ndarray, axes) -> np.ndarray:
+    """Transpose of the coupling layer on the named axes of ``G``.
+
+    Each axis in ``axes`` runs over the ``d0`` filter outputs and comes back
+    over the ``2p`` augmented inputs as ``zbar * G[..., idx]``, where
+    ``zbar = (z, z_tilde)`` and ``idx = (0..p-1, 0..p-1)``. The scale is one
+    product over all axes, so a symmetric ``G`` pulls back to a symmetric
+    result. Without coupling the filter outputs are the inputs and ``G`` is
+    returned unchanged.
+    """
+    if not net.coupling:
+        return G
+    zbar = np.concatenate([net.z, net.z_tilde])
+    idx = np.tile(np.arange(net.p), 2)
+    scale = 1.0
+    for axis in axes:
+        shape = [1] * G.ndim
+        shape[axis] = -1
+        scale = scale * zbar.reshape(shape)
+        G = np.take(G, idx, axis=axis)
+    return scale * G
+
+
 def _forward_pass(net: CoupledNetwork, X: np.ndarray):
-    """Run the MLP on a batch. Returns (h0, pre-activations, activations, out)."""
-    h0 = _filter_layer(net, X)
-    pre, act = [], []
-    h = h0
+    """Run the MLP on a batch.
+
+    Returns the layer inputs ``[h0, h1, h2, h3]``, the pre-activations of the
+    three ELU layers, ELU' of each pre-activation, and the output.
+    """
+    inputs, pre, elu_prime = [_filter_layer(net, X)], [], []
     for l in range(3):
-        a = h @ net.w[l] + net.b[l]
+        a = inputs[l] @ net.w[l] + net.b[l]
+        neg = np.minimum(a, 0.0)
         pre.append(a)
-        h = _elu(a)
-        act.append(h)
-    out = (h @ net.w[3] + net.b[3])[..., 0]
-    return h0, pre, act, out
-
-
-def forward(net: CoupledNetwork, x_aug: np.ndarray) -> float:
-    """Scalar response for one augmented input (logistic link when binary)."""
-    x_aug = np.asarray(x_aug, dtype=float)
-    _check_input(net, x_aug)
-    out = _forward_pass(net, x_aug[None, :])[3][0]
-    if net.task == "binary":
-        return float(_sigmoid(np.array([out]))[0])
-    return float(out)
+        inputs.append(np.where(a > 0, a, np.expm1(neg)))
+        elu_prime.append(np.exp(neg))  # exp(0) is exactly 1, so no mask is needed
+    out = (inputs[3] @ net.w[3] + net.b[3])[..., 0]
+    return inputs, pre, elu_prime, out
 
 
 def predict(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
@@ -233,78 +241,45 @@ def raw_output(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
 
 
 def batch_input_gradient(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
-    """Gradient of the pre-link output w.r.t. each augmented input row."""
+    """Gradient of the pre-link output w.r.t. each augmented input row, (n, 2p)."""
     X_aug = np.asarray(X_aug, dtype=float)
     _check_input(net, X_aug)
     net.check_finite()
-    _, pre, _, _ = _forward_pass(net, X_aug)
-    n = X_aug.shape[0]
-    g = np.broadcast_to(net.w[3][:, 0], (n, net.w[3].shape[0])).copy()
+    _, _, elu_prime, _ = _forward_pass(net, X_aug)
+    g = net.w[3][:, 0]
     for l in (2, 1, 0):
-        g = (g * _elu_prime(pre[l])) @ net.w[l].T
-    if net.coupling:
-        return np.concatenate([net.z * g, net.z_tilde * g], axis=-1)
-    return g
-
-
-def input_gradient(net: CoupledNetwork, x_aug: np.ndarray) -> np.ndarray:
-    x_aug = np.asarray(x_aug, dtype=float)
-    return batch_input_gradient(net, x_aug[None, :])[0]
+        g = (g * elu_prime[l]) @ net.w[l].T
+    return pull_back(net, g, (-1,))
 
 
 def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     """Input Hessians for a batch, shape (n, 2p, 2p).
 
-    Forward-over-reverse: tangents for all 2p input directions are pushed
-    through the forward pass, then through the adjoint pass. The result is
-    symmetrized so H == H.T holds exactly.
+    Forward-over-reverse in filter space: one unit tangent per filter output
+    is pushed through the forward pass, then through the adjoint pass. The
+    ``d0 x d0`` result is symmetrized, so H == H.T holds exactly, and both
+    axes are pulled back to the augmented inputs.
     """
     X_aug = np.asarray(X_aug, dtype=float)
     _check_input(net, X_aug)
     net.check_finite()
-    n, D = X_aug.shape
-    p = net.p
+    inputs, pre, elu_prime, _ = _forward_pass(net, X_aug)
 
-    # Tangent of h0 w.r.t. the D unit input directions, shape (D, d0).
-    if net.coupling:
-        t0 = np.zeros((D, p))
-        t0[:p, :] = np.diag(net.z)
-        t0[p:, :] = np.diag(net.z_tilde)
-    else:
-        t0 = np.eye(D)
-
-    h = _filter_layer(net, X_aug)                  # (n, d0)
-    th = np.broadcast_to(t0, (n,) + t0.shape).copy()  # (n, D, d0)
-    pre, tpre = [], []
+    th = np.eye(inputs[0].shape[-1])   # tangents of h0, one row per direction
+    tpre = []
     for l in range(3):
-        a = h @ net.w[l] + net.b[l]
-        ta = th @ net.w[l]
-        pre.append(a)
-        tpre.append(ta)
-        h = _elu(a)
-        th = _elu_prime(a)[:, None, :] * ta
+        tpre.append(th @ net.w[l])
+        th = elu_prime[l][:, None, :] * tpre[l]
 
-    d3 = net.w[3].shape[0]
-    g = np.broadcast_to(net.w[3][:, 0], (n, d3)).copy()   # grad w.r.t. h3
-    tg = np.zeros((n, D, d3))
+    g, tg = net.w[3][:, 0], 0.0        # gradient w.r.t. h3 and its tangents
     for l in (2, 1, 0):
-        s1 = _elu_prime(pre[l])
-        s2 = _elu_second(pre[l])
-        ga = g * s1
-        tga = tg * s1[:, None, :] + (g * s2)[:, None, :] * tpre[l]
+        # ELU'' with the left-limit convention at the kink: ELU' for a <= 0, else 0.
+        elu_second = np.where(pre[l] > 0, 0.0, elu_prime[l])
+        ga = g * elu_prime[l]
+        tga = tg * elu_prime[l][:, None, :] + (g * elu_second)[:, None, :] * tpre[l]
         g = ga @ net.w[l].T
         tg = tga @ net.w[l].T
-
-    if net.coupling:
-        H = np.concatenate([net.z * tg, net.z_tilde * tg], axis=-1)
-    else:
-        H = tg
-    return (H + np.swapaxes(H, -1, -2)) / 2.0
-
-
-def input_hessian(net: CoupledNetwork, x_aug: np.ndarray) -> np.ndarray:
-    x_aug = np.asarray(x_aug, dtype=float)
-    return batch_input_hessian(net, x_aug[None, :])[0]
+    return pull_back(net, (tg + np.swapaxes(tg, -1, -2)) / 2.0, (-2, -1))
 
 
 class _Flat(NamedTuple):
@@ -347,15 +322,7 @@ def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndar
                           l1_filter: float, l1_mlp: float):
     """Mean penalized loss over the batch; writes every gradient into ``grads``."""
     net, g_net = params.net, grads.net
-    h = _filter_layer(net, X)
-    inputs, elu_prime = [h], []
-    for l in range(3):
-        a = h @ net.w[l] + net.b[l]
-        neg = np.minimum(a, 0.0)
-        h = np.where(a > 0, a, np.expm1(neg))
-        elu_prime.append(np.exp(neg))  # exp(0) is exactly 1, so no mask is needed
-        inputs.append(h)
-    out = (h @ net.w[3] + net.b[3])[..., 0]
+    inputs, _, elu_prime, out = _forward_pass(net, X)
     loss, dout = _data_loss(net.task, out, y)
 
     g = dout.reshape(-1, 1)

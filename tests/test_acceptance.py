@@ -19,13 +19,12 @@ from knockint.harness import (ExperimentConfig, run_experiment,
                               selected_original_pairs)
 from knockint.knockoff import fit_gaussian, sample_knockoffs
 from knockint.metrics import fdp_power
-from knockint.network import input_gradient, input_hessian, raw_output
 from knockint.simsuite import FUNCTIONS, evaluate_function, verify_ground_truth
 
 from conftest import random_network
 from test_fdr import (_brute_force_feature, _brute_force_threshold,
                       _random_gamma)
-from test_network import _away_from_kinks, _finite_diff_grad
+from test_network import _away_from_kinks, _finite_diff_grad, _grad1, _hess1
 
 PROTOCOL_FUNCTIONS = ("F1", "F2", "F3", "F4")
 
@@ -86,18 +85,17 @@ def test_criterion_3_differentiation_correctness():
         x = rng.standard_normal(6)
         if not _away_from_kinks(net, x):
             continue
-        g = input_gradient(net, x)
+        g = _grad1(net, x)
         np.testing.assert_allclose(g, _finite_diff_grad(net, x),
                                    rtol=1e-5, atol=1e-7)
-        H = input_hessian(net, x)
+        H = _hess1(net, x)
         assert np.max(np.abs(H - H.T)) == 0.0, "Hessian not exactly symmetric"
         h = 1e-4
         fd = np.zeros((6, 6))
         for k in range(6):
             e = np.zeros(6)
             e[k] = h
-            fd[:, k] = (input_gradient(net, x + e)
-                        - input_gradient(net, x - e)) / (2 * h)
+            fd[:, k] = (_grad1(net, x + e) - _grad1(net, x - e)) / (2 * h)
         scale = max(np.max(np.abs(H)), 1.0)
         np.testing.assert_allclose(H, fd, atol=1e-3 * scale)
         checked += 1

@@ -257,6 +257,17 @@ def test_feature_threshold_spec_example():
     assert res.selected == [0, 1, 2]
 
 
+
+def test_feature_threshold_to_dict(tmp_path):
+    W = np.array([5, 4, 3, 2, 1, 6, 7, 8, 9, 10, -0.1])
+    res = feature_threshold(W, 0.2)
+    assert res.selected == list(range(10))
+    assert res.to_dict()["selected"] == res.selected
+    path = tmp_path / "sel.json"
+    write_selection_json(path, res)
+    assert json.loads(path.read_text())["selected"] == res.selected
+
+
 def test_feature_threshold_all_negative():
     res = feature_threshold(np.array([-1.0, -2.0]), 0.5)
     assert not res.feasible

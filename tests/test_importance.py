@@ -14,7 +14,7 @@ from knockint.importance import (AttributionConfig, ImportanceScores, calibrate,
                                  instance_based_2d, model_based_1d,
                                  model_based_2d, read_scores_csv,
                                  write_scores_csv)
-from knockint.network import CoupledNetwork, TrainConfig, init_network, train
+from knockint.network import CoupledNetwork, TrainConfig, init_network, raw_output, train
 
 from conftest import random_network
 
@@ -110,6 +110,19 @@ def test_instance_1d_linear_completeness():
     s1d = instance_based_1d(net, X, cfg)
     assert s1d[0] == pytest.approx(6.0, rel=1e-9)
     assert s1d[1] == pytest.approx(0.0, abs=1e-12)
+
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+def test_instance_1d_completeness_nonlinear(coupling):
+    # Integrated gradients: each sample's attributions sum to f(x) - f(x').
+    # Random networks are rougher than trained ones, so 256 midpoint steps.
+    for seed in range(3):
+        net = random_network(p=4, hidden=(16, 8, 4), seed=seed, coupling=coupling)
+        X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(6, 8))
+        delta = raw_output(net, X) - raw_output(net, X.mean(axis=0)[None])[0]
+        s1d = instance_based_1d(net, X, AttributionConfig(alpha_steps=256))
+        assert abs(s1d.sum() - delta.sum()) <= 1e-3 * np.abs(delta).sum()
 
 
 def test_instance_1d_additive_over_batches():

@@ -6,13 +6,55 @@ import pytest
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
                                  TrainingDivergedError)
-from knockint.network import (CoupledNetwork, TrainConfig, _elu_prime, _flatten,
-                              _forward_pass, _loss_and_param_grads, _sigmoid,
-                              batch_input_gradient, batch_input_hessian, forward,
-                              init_network, input_gradient, input_hessian,
-                              load_network, predict, raw_output, save_network, train)
+from knockint.network import (CoupledNetwork, TrainConfig, _flatten,
+                              _loss_and_param_grads, _sigmoid, batch_input_gradient,
+                              batch_input_hessian, init_network, load_network,
+                              predict, raw_output, save_network, train)
 
 from conftest import random_network
+
+
+# -------------------------------------------- reference forward pass, plainly
+
+def _elu(u):
+    return np.where(u > 0, u, np.expm1(np.minimum(u, 0.0)))
+
+
+def _elu_prime(u):
+    return np.where(u > 0, 1.0, np.exp(np.minimum(u, 0.0)))
+
+
+def _elu_second(u):
+    # Left-limit convention at the kink: d2/du2 = exp(u) for u <= 0, else 0.
+    return np.where(u > 0, 0.0, np.exp(np.minimum(u, 0.0)))
+
+
+def _reference_forward(net, X):
+    """(h0, pre-activations, activations, output) of the MLP on a batch."""
+    h0 = X
+    if net.coupling:
+        p = net.p
+        h0 = net.z * X[..., :p] + net.z_tilde * X[..., p:]
+    pre, act = [], []
+    h = h0
+    for l in range(3):
+        a = h @ net.w[l] + net.b[l]
+        pre.append(a)
+        h = _elu(a)
+        act.append(h)
+    return h0, pre, act, (h @ net.w[3] + net.b[3])[..., 0]
+
+
+def _raw1(net, x):
+    return raw_output(net, x[None])[0]
+
+
+def _grad1(net, x):
+    return batch_input_gradient(net, x[None])[0]
+
+
+def _hess1(net, x):
+    return batch_input_hessian(net, x[None])[0]
 
 
 # ---------------------------------------------------------------- init
@@ -57,7 +99,7 @@ def test_forward_zero_network():
     net.z_tilde[:] = 0.0
     for w in net.w:
         w[:] = 0.0
-    assert forward(net, np.ones(4)) == 0.0
+    assert _raw1(net, np.ones(4)) == 0.0
 
 
 def test_forward_hand_evaluated_passthrough():
@@ -69,7 +111,7 @@ def test_forward_hand_evaluated_passthrough():
         b=[np.zeros(1)] * 4,
         task="regression", hidden_sizes=(1, 1, 1), coupling=True,
     )
-    assert forward(net, np.array([2.0, 9.0])) == pytest.approx(2.0)
+    assert _raw1(net, np.array([2.0, 9.0])) == pytest.approx(2.0)
 
 
 def test_forward_knockoff_path_severed():
@@ -78,13 +120,14 @@ def test_forward_knockoff_path_severed():
     x = np.array([0.3, -0.2, 0.9, 5.0, -4.0, 7.0])
     x2 = x.copy()
     x2[3:] = [1.0, 2.0, 3.0]
-    assert forward(net, x) == forward(net, x2)
+    assert _raw1(net, x) == _raw1(net, x2)
 
 
 def test_forward_rejects_wrong_length():
     net = random_network(p=3)
-    with pytest.raises(ContractViolation):
-        forward(net, np.zeros(5))
+    for fn in (raw_output, predict, batch_input_gradient, batch_input_hessian):
+        with pytest.raises(ContractViolation):
+            fn(net, np.zeros((1, 5)))
 
 
 def test_binary_forward_in_unit_interval():
@@ -106,14 +149,8 @@ def _finite_diff_grad(net, x, h=1e-4):
 
 
 def _away_from_kinks(net, x, margin=1e-2):
-    from knockint.network import _filter_layer, _elu
-    h = _filter_layer(net, x[None])
-    for l in range(3):
-        pre = h @ net.w[l] + net.b[l]
-        if np.min(np.abs(pre)) < margin:
-            return False
-        h = _elu(pre)
-    return True
+    _, pre, _, _ = _reference_forward(net, x[None])
+    return all(np.min(np.abs(a)) >= margin for a in pre)
 
 
 def test_gradient_zero_network():
@@ -121,7 +158,7 @@ def test_gradient_zero_network():
     net.z[:] = net.z_tilde[:] = 0.0
     for w in net.w:
         w[:] = 0.0
-    np.testing.assert_array_equal(input_gradient(net, np.ones(4)), np.zeros(4))
+    np.testing.assert_array_equal(_grad1(net, np.ones(4)), np.zeros(4))
 
 
 def test_gradient_matches_finite_differences():
@@ -132,7 +169,7 @@ def test_gradient_matches_finite_differences():
         x = rng.standard_normal(6)
         if not _away_from_kinks(net, x):
             continue
-        g = input_gradient(net, x)
+        g = _grad1(net, x)
         fd = _finite_diff_grad(net, x)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
         checked += 1
@@ -143,14 +180,14 @@ def test_gradient_scales_with_filter_weight():
     # Doubling z[j] doubles dy/dx_j when no pre-activation changes sign.
     net = random_network(p=3, seed=11)
     x = np.full(6, 0.01)  # tiny input keeps pre-activation signs stable
-    g1 = input_gradient(net, x)[0]
+    g1 = _grad1(net, x)[0]
     net2 = net.copy()
     net2.z = net.z.copy()
     net2.z[0] *= 2.0
     # keep the filter output identical by halving the input coordinate
     x2 = x.copy()
     x2[0] /= 2.0
-    g2 = input_gradient(net2, x2)[0]
+    g2 = _grad1(net2, x2)[0]
     assert g2 == pytest.approx(2 * g1, rel=1e-10)
 
 
@@ -159,7 +196,7 @@ def test_batch_gradient_matches_single():
     X = np.random.default_rng(1).standard_normal((7, 8))
     G = batch_input_gradient(net, X)
     for i in range(7):
-        np.testing.assert_allclose(G[i], input_gradient(net, X[i]), rtol=1e-12)
+        np.testing.assert_allclose(G[i], _grad1(net, X[i]), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- Hessians
@@ -169,7 +206,7 @@ def test_hessian_zero_network():
     net.z[:] = net.z_tilde[:] = 0.0
     for w in net.w:
         w[:] = 0.0
-    np.testing.assert_array_equal(input_hessian(net, np.ones(4)), np.zeros((4, 4)))
+    np.testing.assert_array_equal(_hess1(net, np.ones(4)), np.zeros((4, 4)))
 
 
 def test_hessian_locally_affine_region_is_zero():
@@ -180,7 +217,7 @@ def test_hessian_locally_affine_region_is_zero():
     net.z = np.abs(net.z)
     net.z_tilde = np.abs(net.z_tilde)
     x = np.abs(np.random.default_rng(0).standard_normal(4))
-    H = input_hessian(net, x)
+    H = _hess1(net, x)
     np.testing.assert_allclose(H, np.zeros((4, 4)), atol=1e-14)
 
 
@@ -192,13 +229,13 @@ def test_hessian_matches_finite_difference_of_gradient():
         x = rng.standard_normal(4)
         if not _away_from_kinks(net, x):
             continue
-        H = input_hessian(net, x)
+        H = _hess1(net, x)
         h = 1e-4
         fd = np.zeros((4, 4))
         for k in range(4):
             e = np.zeros(4)
             e[k] = h
-            fd[:, k] = (input_gradient(net, x + e) - input_gradient(net, x - e)) / (2 * h)
+            fd[:, k] = (_grad1(net, x + e) - _grad1(net, x - e)) / (2 * h)
         scale = max(np.max(np.abs(H)), 1.0)
         np.testing.assert_allclose(H, fd, atol=1e-3 * scale)
         checked += 1
@@ -209,7 +246,7 @@ def test_hessian_exactly_symmetric():
     for trial in range(5):
         net = random_network(p=3, seed=trial)
         x = np.random.default_rng(trial).standard_normal(6)
-        H = input_hessian(net, x)
+        H = _hess1(net, x)
         assert np.max(np.abs(H - H.T)) == 0.0
 
 
@@ -219,10 +256,62 @@ def test_hessian_knockoff_severance():
     x = np.random.default_rng(2).standard_normal(6)
     x2 = x.copy()
     x2[3:] += 10.0
-    H1, H2 = input_hessian(net, x), input_hessian(net, x2)
+    H1, H2 = _hess1(net, x), _hess1(net, x2)
     np.testing.assert_array_equal(H1[:3, :3], H2[:3, :3])
-    g1, g2 = input_gradient(net, x), input_gradient(net, x2)
+    g1, g2 = _grad1(net, x), _grad1(net, x2)
     np.testing.assert_array_equal(g1[:3], g2[:3])
+
+
+
+def _reference_hessian(net, X_aug):
+    """Input Hessians with one tangent per augmented input (2p of them, each
+    scaled by its filter weight), then the coupling layer's transpose on the
+    last axis only. This is the network's earlier algorithm."""
+    n, D = X_aug.shape
+    p = net.p
+    if net.coupling:
+        t0 = np.zeros((D, p))
+        t0[:p, :] = np.diag(net.z)
+        t0[p:, :] = np.diag(net.z_tilde)
+    else:
+        t0 = np.eye(D)
+    _, pre, _, _ = _reference_forward(net, X_aug)
+    th = np.broadcast_to(t0, (n,) + t0.shape).copy()
+    tpre = []
+    for l in range(3):
+        ta = th @ net.w[l]
+        tpre.append(ta)
+        th = _elu_prime(pre[l])[:, None, :] * ta
+    d3 = net.w[3].shape[0]
+    g = np.broadcast_to(net.w[3][:, 0], (n, d3)).copy()
+    tg = np.zeros((n, D, d3))
+    for l in (2, 1, 0):
+        s1, s2 = _elu_prime(pre[l]), _elu_second(pre[l])
+        tga = tg * s1[:, None, :] + (g * s2)[:, None, :] * tpre[l]
+        g = (g * s1) @ net.w[l].T
+        tg = tga @ net.w[l].T
+    H = np.concatenate([net.z * tg, net.z_tilde * tg], axis=-1) if net.coupling else tg
+    return (H + np.swapaxes(H, -1, -2)) / 2.0
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+@pytest.mark.parametrize("p, hidden, n", [(2, (4, 4, 3), 7), (5, (6, 5, 3), 40),
+                                          (30, (64, 32, 16), 1024)],
+                         ids=["p2", "p5", "p30"])
+def test_hessian_matches_reference(coupling, p, hidden, n):
+    # Filter-space tangents reorder the rounding under coupling; without
+    # coupling the two algorithms do the same operations.
+    for seed in range(3):
+        net = random_network(p=p, hidden=hidden, seed=seed, coupling=coupling,
+                             scale=0.7 if p < 30 else 0.3)
+        X = np.random.default_rng(seed).standard_normal((n, 2 * p))
+        H, ref = batch_input_hessian(net, X), _reference_hessian(net, X)
+        assert H.shape == (n, 2 * p, 2 * p)
+        assert np.array_equal(H, np.swapaxes(H, -1, -2))
+        if coupling:
+            assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+        else:
+            assert np.array_equal(H, ref)
 
 
 # ---------------------------------------------------------------- training
@@ -311,7 +400,7 @@ def test_validation_trace_present():
 def _reference_loss_and_grads(net, X, y, l1_filter, l1_mlp=0.0):
     """Loss and a dict of per-parameter gradients, one array per parameter."""
     n = X.shape[0]
-    h0, pre, act, out = _forward_pass(net, X)
+    h0, pre, act, out = _reference_forward(net, X)
     if net.task == "binary":
         prob = _sigmoid(out)
         eps = 1e-12

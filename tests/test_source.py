@@ -34,3 +34,21 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def filter_weight_reads(source: str) -> list:
+    """Lines that read attribute ``z`` or ``z_tilde``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("z", "z_tilde"))
+
+
+def test_filter_weight_reads_detected():
+    assert filter_weight_reads("a = net.z\nb = 1\nc = x.z_tilde + x.zz\n") == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "network.py"],
+                         ids=lambda p: p.name)
+def test_only_network_reads_filter_weights(path):
+    # The coupling layer's map and its transpose (network.pull_back) are
+    # network.py's alone; every other module works through them.
+    assert filter_weight_reads(path.read_text()) == []
