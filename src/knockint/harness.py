@@ -7,20 +7,24 @@ to its own subdirectory of the output directory, in the formats the
 standalone CLI stages read, so any stage can be rerun from those files; with
 it off, only the report files are written. Per-repetition seeds are derived
 by hashing (master seed, function, repetition), making repetitions
-independent and individually rerunnable.
+independent and individually rerunnable; a run spreads its cells over one
+process per usable CPU and writes the same bytes as a serial run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .exceptions import ConfigurationError, ValidationError
+from .exceptions import ConfigurationError, KnockintError, ValidationError
 from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_selection_json
 from .importance import METHODS, AttributionConfig, compute_scores, write_scores_csv
 from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
@@ -152,17 +156,21 @@ def oo_score_map(S: np.ndarray, p: int) -> dict:
 
 
 def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
-                   rep_dir: Path | None = None) -> dict:
-    """Full pipeline for one (function, repetition) cell; returns arm results."""
+                   rep_dir: Path | None = None, dataset: Dataset | None = None) -> dict:
+    """Full pipeline for one (function, repetition) cell; returns arm results.
+
+    ``dataset`` is ``cfg.dataset`` already ingested, so that a run reads the
+    file once; a cell given none reads it itself.
+    """
     seed_data = derive_seed(cfg.seed, function_id, rep, "data")
     seed_ko = derive_seed(cfg.seed, function_id, rep, "knockoff")
 
-    if cfg.dataset is not None:
-        dataset = ingest_csv(cfg.dataset, cfg.response_column, cfg.task)
-    else:
+    if cfg.dataset is None:
         spec = SimulationSpec(function_id=function_id, n=cfg.n, p=cfg.p,
                               seed=seed_data)
         dataset = generate(spec)
+    elif dataset is None:
+        dataset = ingest_csv(cfg.dataset, cfg.response_column, cfg.task)
     p = dataset.X.shape[1]
 
     X_train, y_train = dataset.train
@@ -222,12 +230,61 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
     return results
 
 
+def _run_cell(cell) -> dict | str:
+    """Run one cell; a failure it can report comes back as ``"Type: msg"``.
+
+    The failure travels as text because an exception with its own
+    ``__init__`` (``TrainingDivergedError``, ``DegenerateFeatureError``)
+    does not come back intact from a worker process through pickling. Any
+    other exception is a fault in the program and propagates.
+    """
+    cfg, function_id, rep, rep_dir, dataset = cell
+    try:
+        return run_repetition(cfg, function_id, rep, rep_dir, dataset)
+    except (KnockintError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _run_cells(cells) -> list:
+    """``_run_cell`` over ``cells``, in order, one process per usable CPU.
+
+    This process runs every ``workers``-th cell itself while a pool of forked
+    workers runs the rest, so a run with one usable CPU or one cell starts no
+    process. Forked workers inherit the loaded modules and the BLAS set-up of
+    this process, so each cell computes the same bytes wherever it runs, and
+    a ``spawn`` pool's resource tracker, which outlives the pool, is never
+    started.
+    """
+    workers = min(len(cells), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [_run_cell(cell) for cell in cells]
+    outcomes = [None] * len(cells)
+    with ProcessPoolExecutor(workers - 1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            futures = {i: pool.submit(_run_cell, cell)
+                       for i, cell in enumerate(cells) if i % workers}
+            for i in range(0, len(cells), workers):
+                outcomes[i] = _run_cell(cells[i])
+            for i, future in futures.items():
+                outcomes[i] = future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # start none of the queued cells
+            raise
+    return outcomes
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute every (function, repetition) cell and write the report files.
 
-    A failing repetition is logged into the report and the run continues.
+    ``cfg.dataset`` is read and validated once, before any cell runs. A
+    repetition that fails with a ``KnockintError`` or a numeric failure is
+    logged into the report and the run continues; any other exception
+    propagates, and no worker process outlives the call.
     """
     cfg.validate()
+    dataset = (None if cfg.dataset is None
+               else ingest_csv(cfg.dataset, cfg.response_column, cfg.task))
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -240,21 +297,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "errors": [],
     }
 
-    for function_id in function_ids:
-        per_arm = {}
-        for rep in range(cfg.repetitions):
-            rep_dir = (outdir / f"{function_id}_rep{rep:03d}"
-                       if cfg.save_intermediates else None)
-            try:
-                rep_results = run_repetition(cfg, function_id, rep, rep_dir)
-            except Exception as exc:  # keep remaining repetitions running
-                report["errors"].append({
-                    "function": function_id, "repetition": rep,
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
-                continue
-            for arm, entry in rep_results.items():
-                per_arm.setdefault(arm, []).append({"repetition": rep, **entry})
+    cells = [(cfg, function_id, rep,
+              outdir / f"{function_id}_rep{rep:03d}" if cfg.save_intermediates else None,
+              dataset)
+             for function_id in function_ids for rep in range(cfg.repetitions)]
+    per_function = {function_id: {} for function_id in function_ids}
+    for (_, function_id, rep, _, _), outcome in zip(cells, _run_cells(cells)):
+        if isinstance(outcome, str):
+            report["errors"].append({"function": function_id, "repetition": rep,
+                                     "error": outcome})
+            continue
+        for arm, entry in outcome.items():
+            per_function[function_id].setdefault(arm, []).append(
+                {"repetition": rep, **entry})
+    for function_id, per_arm in per_function.items():
         report["results"][function_id] = {}
         for arm, entries in per_arm.items():
             arm_report = {"repetitions": entries}

@@ -2,12 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from knockint.exceptions import ConfigurationError, ValidationError
+from knockint.exceptions import ConfigurationError, TrainingDivergedError, ValidationError
 from knockint.harness import (ExperimentConfig, derive_seed, ingest_csv,
                               oo_score_map, run_experiment, run_repetition,
                               selected_original_pairs)
@@ -151,25 +153,106 @@ def test_run_experiment_deterministic(tmp_path):
     assert r1.replace(str(cfg1.output_dir), "") == r2.replace(str(cfg2.output_dir), "")
 
 
+def _call_log(path):
+    """Calls counted across worker processes: one line appended per call."""
+    def record():
+        with open(path, "a") as fh:
+            fh.write("call\n")
+
+    def count():
+        return len(path.read_text().splitlines()) if path.exists() else 0
+    return record, count
+
+
 def test_run_experiment_continues_after_failure(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path, repetitions=2)
     import knockint.harness as harness_mod
     real = harness_mod.run_repetition
-    calls = {"n": 0}
+    record, count = _call_log(tmp_path / "calls.log")
 
-    def flaky(cfg, fid, rep, rep_dir=None):
-        calls["n"] += 1
+    def flaky(cfg, fid, rep, rep_dir=None, dataset=None):
+        record()
         if rep == 0:
-            raise RuntimeError("synthetic failure")
-        return real(cfg, fid, rep, rep_dir)
+            raise TrainingDivergedError(0, "synthetic failure")
+        return real(cfg, fid, rep, rep_dir, dataset)
 
     monkeypatch.setattr(harness_mod, "run_repetition", flaky)
     report = harness_mod.run_experiment(cfg)
-    assert calls["n"] == 2
+    assert count() == 2
     assert len(report["errors"]) == 1
     assert report["errors"][0]["repetition"] == 0
+    assert report["errors"][0]["error"] == "TrainingDivergedError: synthetic failure"
     (arm_report,) = report["results"]["F6"].values()
     assert len(arm_report["repetitions"]) == 1
+
+
+def _children():
+    """Process ids of every live child of this process, from every thread."""
+    return {pid for task in Path("/proc/self/task").iterdir()
+            for pid in (task / "children").read_text().split()}
+
+
+@pytest.mark.parametrize("failing_rep", [0, 1])
+def test_run_experiment_programming_error_propagates(tmp_path, monkeypatch, failing_rep):
+    cfg = _tiny_cfg(tmp_path, repetitions=2)
+    import knockint.harness as harness_mod
+    real = harness_mod.run_repetition
+
+    def buggy(cfg, fid, rep, rep_dir=None, dataset=None):
+        if rep == failing_rep:
+            raise TypeError("synthetic bug")
+        return real(cfg, fid, rep, rep_dir, dataset)
+
+    monkeypatch.setattr(harness_mod, "run_repetition", buggy)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        harness_mod.run_experiment(cfg)
+    assert not _children()
+
+
+def _output_files(outdir):
+    """Every file under ``outdir`` by relative path, the output path masked."""
+    files = {}
+    for path in sorted(outdir.rglob("*")):
+        if path.is_file():
+            files[str(path.relative_to(outdir))] = path.read_bytes().replace(
+                str(outdir).encode(), b"OUT")
+    return files
+
+
+def test_run_experiment_pool_equals_serial(tmp_path, monkeypatch):
+    outputs = []
+    for tag in ("pool", "serial"):
+        if tag == "serial":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = _tiny_cfg(tmp_path / tag, functions=["F4", "F6"], repetitions=2,
+                        calibration="both", save_intermediates=True)
+        run_experiment(cfg)
+        outputs.append(_output_files(Path(cfg.output_dir)))
+    pooled, serial = outputs
+    assert len([name for name in pooled if name.endswith("net_coupling_on.npz")]) == 4
+    assert pooled.keys() == serial.keys()
+    for name in pooled:
+        assert pooled[name] == serial[name], name
+
+
+def test_run_experiment_leaves_no_process(tmp_path):
+    run_experiment(_tiny_cfg(tmp_path, repetitions=3))
+    assert not _children()
+
+
+def test_cli_run_leaves_no_process(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "knockint.cli", "run", "--functions", "F6", "--n", "300",
+         "--p", "10", "--repetitions", "2", "--epochs", "3", "--no-intermediates",
+         "--out", str(tmp_path / "exp")],
+        env=env, start_new_session=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    _, err = child.communicate(timeout=300)
+    assert child.returncode == 0, err
+    assert (tmp_path / "exp" / "report.json").exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
 
 
 def test_run_experiment_saves_intermediates(tmp_path):
@@ -181,14 +264,18 @@ def test_run_experiment_saves_intermediates(tmp_path):
         assert (rep_dir / name).exists(), name
 
 
-def test_run_experiment_external_csv(tmp_path):
+def _external_csv():
     rng = np.random.default_rng(0)
     X = rng.uniform(size=(200, 4))
     y = X[:, 0] + X[:, 1] * X[:, 2]
     rows = ["f1,f2,f3,f4,resp"]
     rows += [",".join(map(str, list(xr) + [yv])) for xr, yv in zip(X, y)]
+    return "\n".join(rows) + "\n"
+
+
+def test_run_experiment_external_csv(tmp_path):
     data = tmp_path / "ext.csv"
-    data.write_text("\n".join(rows) + "\n")
+    data.write_text(_external_csv())
     cfg = _tiny_cfg(tmp_path, functions=[], dataset=str(data),
                     response_column="resp")
     report = run_experiment(cfg)
@@ -197,6 +284,27 @@ def test_run_experiment_external_csv(tmp_path):
     # no ground truth for external data: selections only, no eval block
     assert "aggregate" not in entry
     assert "selection" in entry["repetitions"][0]
+
+
+def test_run_experiment_reads_dataset_once(tmp_path, monkeypatch):
+    data = tmp_path / "ext.csv"
+    data.write_text(_external_csv())
+    import knockint.harness as harness_mod
+    real = harness_mod.read_table
+    record, count = _call_log(tmp_path / "reads.log")
+
+    def counted(*args, **kwargs):
+        record()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness_mod, "read_table", counted)
+    cfg = _tiny_cfg(tmp_path, functions=[], dataset=str(data), response_column="resp",
+                    repetitions=3)
+    report = run_experiment(cfg)
+    assert count() == 1
+    assert not report["errors"]
+    (entry,) = report["results"]["external"].values()
+    assert [e["repetition"] for e in entry["repetitions"]] == [0, 1, 2]
 
 
 # ---------------------------------------------------------------- cli
@@ -238,8 +346,8 @@ def test_cli_select_header_only_scores_exit_code(tmp_path):
 def test_cli_run_every_repetition_failed_exit_code(tmp_path, monkeypatch):
     import knockint.harness as harness_mod
 
-    def failing(cfg, fid, rep, rep_dir=None):
-        raise RuntimeError("synthetic failure")
+    def failing(cfg, fid, rep, rep_dir=None, dataset=None):
+        raise TrainingDivergedError(0, "synthetic failure")
 
     monkeypatch.setattr(harness_mod, "run_repetition", failing)
     out = tmp_path / "exp"
@@ -248,6 +356,17 @@ def test_cli_run_every_repetition_failed_exit_code(tmp_path, monkeypatch):
     assert rc == 2
     report = json.loads((out / "report.json").read_text())
     assert len(report["errors"]) == 2
+
+
+def test_cli_run_bad_dataset_exit_code(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("a,resp\n1,2\nx,3\n")
+    out = tmp_path / "exp"
+    rc = _run_cli(["run", "--dataset", str(data), "--response-column", "resp",
+                   "--repetitions", "3", "--no-intermediates", "--out", str(out)])
+    assert rc == 2
+    assert "row 3" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_cli_stagewise_pipeline(tmp_path, capsys):
