@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .exceptions import KnockintError
+from .exceptions import KnockintError, ValidationError
 from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_selection_json
 from .importance import (METHODS, AttributionConfig, compute_scores, read_scores_csv,
                          write_scores_csv)
@@ -28,6 +28,7 @@ from .metrics import evaluate
 from .network import (HIDDEN_SIZES, TASKS, TrainConfig, init_network, load_network,
                       save_network, train)
 from .simsuite import SimulationSpec, generate, read_dataset_csv, write_dataset_csv
+from .table import read_json, write_json
 
 # The training options that both ``train`` and ``run`` expose.
 TRAIN_FIELDS = ("learning_rate", "epochs", "batch_size", "l1_filter_penalty",
@@ -42,12 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _out(path) -> Path:
-    root = os.environ.get("KNOCKINT_OUTPUT_ROOT")
-    path = Path(path)
-    if root and not path.is_absolute():
-        out = Path(root) / path
-    else:
-        out = path
+    out = Path(os.environ.get("KNOCKINT_OUTPUT_ROOT") or "") / path  # absolute paths stay
     out.parent.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -101,8 +97,7 @@ def cmd_train(args):
     net_out = _out(args.net_out)
     save_network(net, net_out)
     if args.trace_out:
-        with open(_out(args.trace_out), "w") as fh:
-            json.dump(trace, fh, sort_keys=True)
+        write_json(_out(args.trace_out), trace, compact=True)
     print(f"wrote {net_out} (final train loss {trace['train_loss'][-1]:.6g})")
 
 
@@ -110,8 +105,7 @@ def cmd_score(args):
     net = load_network(args.net)
     X_aug = read_augmented_csv(args.augmented)
     if args.manifest:
-        with open(args.manifest) as fh:
-            k = json.load(fh).get("n_train")
+        k = read_json(args.manifest).get("n_train")
         if k is not None:
             X_aug = X_aug[k:] if len(X_aug) > k else X_aug
     cfg = AttributionConfig(**_picked(args, "alpha_steps", "beta_steps", "sample_cap"))
@@ -136,32 +130,29 @@ def cmd_select(args):
 
 
 def cmd_evaluate(args):
-    with open(args.selection) as fh:
-        selection = json.load(fh)
-    with open(args.manifest) as fh:
-        manifest = json.load(fh)
-    pairs = manifest.get("ground_truth_pairs")
+    selection = read_json(args.selection)["selected"]
+    if not (isinstance(selection, list) and all(
+            isinstance(pr, list) and len(pr) == 2 and all(type(k) is int for k in pr)
+            for pr in selection)):
+        raise ValidationError(f"{args.selection}: 'selected' must be a list of index pairs")
+    pairs = read_json(args.manifest).get("ground_truth_pairs")
     if not pairs:
-        raise KnockintError("manifest carries no ground-truth pairs")
+        raise KnockintError(f"{args.manifest}: manifest carries no ground-truth pairs")
     truth = {tuple(pr) for pr in pairs}
     scores = read_scores_csv(args.scores)
     p = scores.calibrated.shape[0] // 2
     score_map = harness.oo_score_map(scores.calibrated, p)
-    selected = harness.selected_original_pairs(
-        [tuple(pr) for pr in selection["selected"]], p)
+    selected = harness.selected_original_pairs(selection, p)
     report = evaluate(score_map, selected, truth)
     out = _out(args.out)
-    with open(out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, report.to_dict())
     print(f"wrote {out} (auroc={report.auroc:.3f}, fdp={report.fdp:.3f}, "
           f"power={report.power:.3f})")
 
 
 def cmd_run(args):
     if args.config:
-        with open(args.config) as fh:
-            cfg = harness.ExperimentConfig.from_dict(json.load(fh))
+        cfg = harness.ExperimentConfig.from_dict(read_json(args.config))
         if args.out:
             cfg.output_dir = str(_out(args.out))
     else:
@@ -286,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (KnockintError, OSError, FloatingPointError, json.JSONDecodeError) as exc:
+    except (KnockintError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -25,13 +25,12 @@ Features: the classic knockoff+ threshold over signed statistics W_j.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigurationError, ContractViolation
-from .table import write_table
+from .table import write_json, write_table
 
 CLASSES = ("OO", "D", "DD")
 
@@ -176,6 +175,4 @@ def write_selection_csv(path, gamma, result: SelectionResult):
 
 
 def write_selection_json(path, result: SelectionResult):
-    with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, result.to_dict())

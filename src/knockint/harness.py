@@ -14,11 +14,11 @@ process per usable CPU and writes the same bytes as a serial run.
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmente
 from .metrics import EvalReport, aggregate, evaluate
 from .network import HIDDEN_SIZES, TrainConfig, init_network, save_network, train
 from .simsuite import Dataset, SimulationSpec, generate, write_dataset_csv
-from .table import read_table, write_table
+from .table import read_table, write_json, write_table
 
 ON_OFF = ("on", "off")
 
@@ -105,17 +105,30 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "train" in d and isinstance(d["train"], dict):
-            d["train"] = TrainConfig(**d["train"])
-        if "attribution" in d and isinstance(d["attribution"], dict):
-            d["attribution"] = AttributionConfig(**d["attribution"])
-        if "hidden_sizes" in d:
-            d["hidden_sizes"] = tuple(d["hidden_sizes"])
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
+        return _from_json(cls, d)
+
+
+def _from_json(cls, d: dict, prefix=""):
+    """``cls(**d)`` for a JSON object ``d`` whose keys all name fields of ``cls``
+    and whose values have types the fields' annotations admit: an int passes
+    for a float, a list for a tuple, an object for a nested config."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in d.items():
+        if name not in hints:
+            raise ValidationError(f"unknown config field {prefix}{name}")
+        types = typing.get_args(hints[name]) or (hints[name],)
+        if isinstance(value, dict) and is_dataclass(hints[name]):
+            value = _from_json(hints[name], value, f"{prefix}{name}.")
+        elif isinstance(value, list) and tuple in types:
+            value = tuple(value)
+        elif not (type(value) in types or object in types
+                  or (type(value) is int and float in types)):
+            raise ValidationError(f"config field {prefix}{name}: expected "
+                                  f"{' or '.join(t.__name__ for t in types)}, "
+                                  f"got {type(value).__name__}")
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -197,12 +210,10 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
         seed_net = derive_seed(cfg.seed, function_id, rep, "net", coupling)
         net = init_network(p, hidden_sizes=cfg.hidden_sizes, task=dataset.task,
                           seed=seed_net, coupling=(coupling == "on"))
-        train_cfg = TrainConfig(**{**asdict(cfg.train), "seed": seed_net})
-        net, trace = train(net, aug_train, y_train, train_cfg)
+        net, trace = train(net, aug_train, y_train, replace(cfg.train, seed=seed_net))
         if rep_dir is not None:
             save_network(net, rep_dir / f"net_coupling_{coupling}.npz")
-            with open(rep_dir / f"trace_coupling_{coupling}.json", "w") as fh:
-                json.dump(trace, fh, sort_keys=True)
+            write_json(rep_dir / f"trace_coupling_{coupling}.json", trace, compact=True)
 
         for method in methods:
             attribution_data = aug_test if len(aug_test) else aug_train
@@ -324,9 +335,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def _write_report(outdir: Path, report: dict):
-    with open(outdir / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "report.json", report)
 
     q = report["config"]["q"]
     summary, aggregates = [], []

@@ -14,14 +14,13 @@ Sampling never sees the response, by construction of the interface.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import linalg
 
 from .exceptions import ConfigurationError, ContractViolation, DegenerateFeatureError
-from .table import float_rows, read_table, write_table
+from .table import float_rows, load_npz, read_table, save_npz, write_table
 
 MODEL_VERSION = 1
 
@@ -172,25 +171,9 @@ def read_augmented_csv(path) -> np.ndarray:
 
 
 def save_model(model: GaussianKnockoffModel, path):
-    arrays = {
-        "mu": model.mu,
-        "sigma": model.sigma,
-        "s": model.s,
-        "cond_mean_map": model.cond_mean_map,
-        "cond_cov_factor": model.cond_cov_factor,
-        "meta": np.frombuffer(json.dumps({"version": MODEL_VERSION}).encode(), dtype=np.uint8),
-    }
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    save_npz(path, MODEL_VERSION, {f.name: getattr(model, f.name) for f in fields(model)})
 
 
 def load_model(path) -> GaussianKnockoffModel:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta["version"] != MODEL_VERSION:
-            raise ConfigurationError(f"unsupported model file version {meta['version']}")
-        return GaussianKnockoffModel(
-            mu=data["mu"], sigma=data["sigma"], s=data["s"],
-            cond_mean_map=data["cond_mean_map"],
-            cond_cov_factor=data["cond_cov_factor"],
-        )
+    _, data = load_npz(path, MODEL_VERSION)
+    return GaussianKnockoffModel(**{f.name: data[f.name] for f in fields(GaussianKnockoffModel)})

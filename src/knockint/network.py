@@ -26,19 +26,21 @@ the reference loop kept in ``tests/test_network.py``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import ConfigurationError, ContractViolation, TrainingDivergedError
+from .table import load_npz, save_npz
 
 TASKS = ("regression", "binary")
 
 SERIALIZATION_VERSION = 1
 
 HIDDEN_SIZES = (64, 32, 16)
+
+FILTER_INIT = 0.1  # the common start of every z and z_tilde
 
 
 def _sigmoid(u):
@@ -108,19 +110,6 @@ class CoupledNetwork:
             return self.w[0].shape[0]
         return self.w[0].shape[0] // 2
 
-    def copy(self) -> "CoupledNetwork":
-        return CoupledNetwork(
-            z=None if self.z is None else self.z.copy(),
-            z_tilde=None if self.z_tilde is None else self.z_tilde.copy(),
-            w=[wi.copy() for wi in self.w],
-            b=[bi.copy() for bi in self.b],
-            task=self.task,
-            hidden_sizes=tuple(self.hidden_sizes),
-            coupling=self.coupling,
-            y_mean=self.y_mean,
-            y_std=self.y_std,
-        )
-
     def check_finite(self):
         for arr in self._all_params():
             if not np.all(np.isfinite(arr)):
@@ -135,11 +124,11 @@ class CoupledNetwork:
 
 
 def init_network(p, hidden_sizes=HIDDEN_SIZES, task="regression", seed=0,
-                 coupling=True, filter_init=0.1) -> CoupledNetwork:
+                 coupling=True) -> CoupledNetwork:
     """Build a freshly initialized network.
 
     MLP weights use a Glorot-style scaled-uniform draw; biases are zero. The
-    filter weights ``z`` and ``z_tilde`` start equal (``filter_init``) so the
+    filter weights ``z`` and ``z_tilde`` start equal (``FILTER_INIT``) so the
     original feature and its knockoff compete from a symmetric start.
     """
     if p < 1:
@@ -160,16 +149,18 @@ def init_network(p, hidden_sizes=HIDDEN_SIZES, task="regression", seed=0,
         b.append(np.zeros(fan_out))
     z = zt = None
     if coupling:
-        z = np.full(p, float(filter_init))
-        zt = np.full(p, float(filter_init))
+        z = np.full(p, FILTER_INIT)
+        zt = np.full(p, FILTER_INIT)
     return CoupledNetwork(z=z, z_tilde=zt, w=w, b=b, task=task,
                           hidden_sizes=hidden_sizes, coupling=coupling)
 
 
-def _check_input(net: CoupledNetwork, X: np.ndarray):
+def _checked_input(net: CoupledNetwork, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
     if X.shape[-1] != 2 * net.p:
         raise ContractViolation(
             f"expected augmented input of length {2 * net.p}, got {X.shape[-1]}")
+    return X
 
 
 def _filter_layer(net: CoupledNetwork, X: np.ndarray) -> np.ndarray:
@@ -225,9 +216,7 @@ def predict(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     Regression outputs are mapped back through the training-time
     standardization; binary outputs are probabilities.
     """
-    X_aug = np.asarray(X_aug, dtype=float)
-    _check_input(net, X_aug)
-    out = _forward_pass(net, X_aug)[3]
+    out = raw_output(net, X_aug)
     if net.task == "binary":
         return _sigmoid(out)
     return out * net.y_std + net.y_mean
@@ -235,15 +224,13 @@ def predict(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
 
 def raw_output(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     """Pre-link affine output for a batch (the quantity attributions use)."""
-    X_aug = np.asarray(X_aug, dtype=float)
-    _check_input(net, X_aug)
+    X_aug = _checked_input(net, X_aug)
     return _forward_pass(net, X_aug)[3]
 
 
 def batch_input_gradient(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     """Gradient of the pre-link output w.r.t. each augmented input row, (n, 2p)."""
-    X_aug = np.asarray(X_aug, dtype=float)
-    _check_input(net, X_aug)
+    X_aug = _checked_input(net, X_aug)
     net.check_finite()
     _, _, elu_prime, _ = _forward_pass(net, X_aug)
     g = net.w[3][:, 0]
@@ -260,8 +247,7 @@ def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     ``d0 x d0`` result is symmetrized, so H == H.T holds exactly, and both
     axes are pulled back to the augmented inputs.
     """
-    X_aug = np.asarray(X_aug, dtype=float)
-    _check_input(net, X_aug)
+    X_aug = _checked_input(net, X_aug)
     net.check_finite()
     inputs, pre, elu_prime, _ = _forward_pass(net, X_aug)
 
@@ -359,9 +345,8 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
-    X_aug = np.asarray(X_aug, dtype=float)
+    X_aug = _checked_input(net, X_aug)
     y = np.asarray(y, dtype=float)
-    _check_input(net, X_aug)
     if X_aug.shape[0] != y.shape[0]:
         raise ContractViolation("X_aug and y row counts differ")
     if not (np.all(np.isfinite(X_aug)) and np.all(np.isfinite(y))):
@@ -451,39 +436,26 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
 
 def save_network(net: CoupledNetwork, path):
     """Serialize to a versioned ``.npz`` file; round trips bit-exactly."""
-    meta = {
-        "version": SERIALIZATION_VERSION,
-        "task": net.task,
-        "hidden_sizes": list(net.hidden_sizes),
-        "coupling": net.coupling,
-        "y_mean": net.y_mean,
-        "y_std": net.y_std,
-    }
     arrays = {f"w{l}": net.w[l] for l in range(4)}
     arrays.update({f"b{l}": net.b[l] for l in range(4)})
     if net.coupling:
-        arrays["z"] = net.z
-        arrays["z_tilde"] = net.z_tilde
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+        arrays.update(z=net.z, z_tilde=net.z_tilde)
+    save_npz(path, SERIALIZATION_VERSION, arrays, task=net.task,
+             hidden_sizes=list(net.hidden_sizes), coupling=net.coupling,
+             y_mean=net.y_mean, y_std=net.y_std)
 
 
 def load_network(path) -> CoupledNetwork:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta["version"] != SERIALIZATION_VERSION:
-            raise ConfigurationError(f"unsupported network file version {meta['version']}")
-        coupling = bool(meta["coupling"])
-        net = CoupledNetwork(
-            z=data["z"] if coupling else None,
-            z_tilde=data["z_tilde"] if coupling else None,
-            w=[data[f"w{l}"] for l in range(4)],
-            b=[data[f"b{l}"] for l in range(4)],
-            task=meta["task"],
-            hidden_sizes=tuple(meta["hidden_sizes"]),
-            coupling=coupling,
-            y_mean=float(meta["y_mean"]),
-            y_std=float(meta["y_std"]),
-        )
-    return net
+    meta, data = load_npz(path, SERIALIZATION_VERSION)
+    coupling = bool(meta["coupling"])
+    return CoupledNetwork(
+        z=data["z"] if coupling else None,
+        z_tilde=data["z_tilde"] if coupling else None,
+        w=[data[f"w{l}"] for l in range(4)],
+        b=[data[f"b{l}"] for l in range(4)],
+        task=meta["task"],
+        hidden_sizes=tuple(meta["hidden_sizes"]),
+        coupling=coupling,
+        y_mean=float(meta["y_mean"]),
+        y_std=float(meta["y_std"]),
+    )

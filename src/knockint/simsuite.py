@@ -10,15 +10,12 @@ suite reruns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError, GenerationError
-from .table import float_rows, read_table, write_table
-
-FUNCTION_IDS = tuple(f"F{k}" for k in range(1, 11))
+from .table import float_rows, read_json, read_table, write_json, write_table
 
 
 def _f1(x):
@@ -188,12 +185,6 @@ def mixed_partial(function_id: str, i: int, j: int, point: np.ndarray,
     The cross difference annihilates any additively-separable dependence on
     (x_i, x_j) exactly, so true non-pairs read as rounding noise.
     """
-    f = FUNCTIONS[function_id]
-
-    def eval_at(pt):
-        cols = {k: np.asarray(pt[k - 1]) for k in range(1, 11)}
-        return float(f(cols))
-
     pt = np.array(point, dtype=float)
     vals = 0.0
     for si in (+1, -1):
@@ -201,7 +192,7 @@ def mixed_partial(function_id: str, i: int, j: int, point: np.ndarray,
             q = pt.copy()
             q[i - 1] += si * h
             q[j - 1] += sj * h
-            vals += si * sj * eval_at(q)
+            vals += si * sj * float(evaluate_function(function_id, q))
     return vals / (4 * h * h)
 
 
@@ -251,17 +242,12 @@ def write_dataset_csv(path, dataset: Dataset, manifest_path=None,
         }
         if spec is not None:
             manifest["spec"] = asdict(spec)
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(manifest_path, manifest)
 
 
 def read_dataset_csv(path, manifest_path=None) -> Dataset:
     _, data = read_table(path)
-    manifest = {}
-    if manifest_path is not None:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+    manifest = {} if manifest_path is None else read_json(manifest_path)
     pairs = manifest.get("ground_truth_pairs")
     return Dataset(X=data[:, :-1], y=data[:, -1], task=manifest.get("task", "regression"),
                    ground_truth={tuple(pr) for pr in pairs} if pairs else None,

@@ -13,7 +13,7 @@ from knockint.exceptions import ConfigurationError, TrainingDivergedError, Valid
 from knockint.harness import (ExperimentConfig, derive_seed, ingest_csv,
                               oo_score_map, run_experiment, run_repetition,
                               selected_original_pairs)
-from knockint.importance import AttributionConfig
+from knockint.importance import METHODS, AttributionConfig
 from knockint.network import TrainConfig
 from knockint.simsuite import SimulationSpec
 from knockint import cli
@@ -343,6 +343,80 @@ def test_cli_select_header_only_scores_exit_code(tmp_path):
     assert rc == 2
 
 
+# Malformed input files: (argv, the file the error must name). "{d}" is a
+# directory holding a simulated dataset, its knockoff files and its scores.
+MALFORMED_INPUTS = {
+    "score_net_text_file": ("score --net {d}/text.txt --augmented {d}/aug.csv --out {d}/x.csv",
+                            "text.txt"),
+    "score_net_without_meta": ("score --net {d}/nometa.npz --augmented {d}/aug.csv "
+                               "--out {d}/x.csv", "nometa.npz"),
+    "score_net_knockoff_model": ("score --net {d}/model.npz --augmented {d}/aug.csv "
+                                 "--out {d}/x.csv", "model.npz"),
+    "select_scores_binary": ("select --scores {d}/model.npz --json-out {d}/x.json",
+                             "model.npz"),
+    "train_augmented_npz": ("train --data {d}/data.csv --augmented {d}/model.npz "
+                            "--net-out {d}/x.npz", "model.npz"),
+    "evaluate_selection_list": ("evaluate --selection {d}/list.json --scores {d}/scores.csv "
+                                "--manifest {d}/data.manifest.json --out {d}/x.json",
+                                "list.json"),
+    "evaluate_selection_empty": ("evaluate --selection {d}/empty.json --scores {d}/scores.csv "
+                                 "--manifest {d}/data.manifest.json --out {d}/x.json",
+                                 "empty.json"),
+    "evaluate_selection_not_pairs": ("evaluate --selection {d}/triple.json "
+                                     "--scores {d}/scores.csv --manifest {d}/data.manifest.json "
+                                     "--out {d}/x.json", "triple.json"),
+    "run_config_list": ("run --config {d}/list.json", "list.json"),
+    "run_config_unknown_train_field": ("run --config {d}/train_foo.json", "train.foo"),
+    "run_config_wrong_type": ("run --config {d}/n_abc.json", "field n:"),
+}
+
+
+@pytest.fixture(scope="module")
+def malformed_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("malformed")
+    assert _run_cli(["simulate", "--function", "F6", "--n", "60", "--p", "10",
+                     "--out", str(d / "data.csv")]) == 0
+    assert _run_cli(["knockoff", "--data", str(d / "data.csv"),
+                     "--augmented-out", str(d / "aug.csv"),
+                     "--model-out", str(d / "model.npz")]) == 0
+    (d / "scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n")
+    (d / "text.txt").write_text("not an array\n")
+    np.savez(d / "nometa.npz", w0=np.zeros(2))
+    (d / "list.json").write_text("[1]")
+    (d / "empty.json").write_text("{}")
+    (d / "triple.json").write_text('{"selected": [[0, 1, 2]]}')
+    (d / "train_foo.json").write_text('{"train": {"foo": 1}}')
+    (d / "n_abc.json").write_text('{"n": "abc"}')
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_cli_malformed_input_exit_code(case, malformed_dir, capsys):
+    argv, named = MALFORMED_INPUTS[case]
+    capsys.readouterr()
+    rc = _run_cli(argv.format(d=malformed_dir).split())
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
+
+
+def test_config_from_dict_checks_nested_fields_and_types():
+    with pytest.raises(ValidationError, match="attribution.bogus"):
+        ExperimentConfig.from_dict({"attribution": {"bogus": 1}})
+    for bad in ({"save_intermediates": 1}, {"q": "0.1"}, {"train": {"epochs": 3.0}},
+                {"train": 5}, {"functions": "F1"}):
+        with pytest.raises(ValidationError, match="config field"):
+            ExperimentConfig.from_dict(bad)
+    cfg = ExperimentConfig.from_dict({
+        "q": 0, "dataset": "x.csv", "hidden_sizes": [4, 3, 2],
+        "train": {"learning_rate": 1, "grad_clip": None},
+        "attribution": {"baselines": [[0.0, 0.0]]}})
+    assert cfg.q == 0 and cfg.hidden_sizes == (4, 3, 2)
+    assert cfg.train == TrainConfig(learning_rate=1, grad_clip=None)
+    assert cfg.attribution == AttributionConfig(baselines=[[0.0, 0.0]])
+
+
 def test_cli_run_every_repetition_failed_exit_code(tmp_path, monkeypatch):
     import knockint.harness as harness_mod
 
@@ -396,6 +470,51 @@ def test_cli_stagewise_pipeline(tmp_path, capsys):
                      "--out", str(d / "eval.json")]) == 0
     blob = json.loads((d / "eval.json").read_text())
     assert set(blob) >= {"auroc", "fdp", "power"}
+
+
+def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path):
+    # The harness promise: each stage reruns from a repetition's saved files,
+    # given the repetition's derive_seed seeds and its manifest.
+    cfg = _tiny_cfg(tmp_path, method="both", calibration="both", coupling="both",
+                    save_intermediates=True, hidden_sizes=(8, 6, 4),
+                    attribution=AttributionConfig(alpha_steps=4, beta_steps=4, sample_cap=20))
+    run_experiment(cfg)
+    rep = Path(cfg.output_dir) / "F6_rep000"
+    again = tmp_path / "again"
+    data = ["--data", rep / "dataset.csv", "--manifest", rep / "manifest.json"]
+
+    def seed(*parts):
+        return derive_seed(cfg.seed, "F6", 0, *parts)
+
+    def rerun(*args):
+        assert _run_cli([str(a) for a in args]) == 0
+
+    rerun("knockoff", *data, "--seed", seed("knockoff"), "--ridge", cfg.ridge,
+          "--s-scale", cfg.s_scale, "--augmented-out", again / "augmented.csv",
+          "--model-out", again / "knockoff_model.npz")
+    train_options = [a for name in cli.TRAIN_FIELDS
+                     for a in ("--" + name.replace("_", "-"), getattr(cfg.train, name))]
+    for coupling in ("on", "off"):
+        rerun("train", *data, "--augmented", rep / "augmented.csv",
+              "--hidden", ",".join(map(str, cfg.hidden_sizes)), "--coupling", coupling,
+              *train_options, "--seed", seed("net", coupling),
+              "--net-out", again / f"net_coupling_{coupling}.npz",
+              "--trace-out", again / f"trace_coupling_{coupling}.json")
+        for method in METHODS:
+            scores = f"scores_{method}_coupling_{coupling}.csv"
+            rerun("score", "--net", rep / f"net_coupling_{coupling}.npz",
+                  "--augmented", rep / "augmented.csv", "--manifest", rep / "manifest.json",
+                  "--method", method, "--alpha-steps", cfg.attribution.alpha_steps,
+                  "--beta-steps", cfg.attribution.beta_steps,
+                  "--sample-cap", cfg.attribution.sample_cap, "--out", again / scores)
+            for calibration, raw in (("on", []), ("off", ["--use-raw"])):
+                stem = f"selection_{method}_cal_{calibration}_coupling_{coupling}"
+                rerun("select", "--scores", rep / scores, "--q", cfg.q, *raw,
+                      "--json-out", again / f"{stem}.json", "--csv-out", again / f"{stem}.csv")
+    rerun_files = sorted(again.iterdir())
+    assert len(rerun_files) == 2 + 2 * (2 + 2 * (1 + 2 * 2))
+    for path in rerun_files:
+        assert path.read_bytes() == (rep / path.name).read_bytes(), path.name
 
 
 def test_cli_run_subcommand(tmp_path):

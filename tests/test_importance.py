@@ -1,6 +1,7 @@
 """Tests for model-based and instance-based importance scores and the
 calibration rule."""
 
+import copy
 import csv
 from collections import Counter
 
@@ -83,7 +84,7 @@ def test_model_1d_severed_knockoffs():
 def test_model_1d_linear_in_last_layer():
     net = random_network(p=3, seed=2)
     base = model_based_1d(net)
-    net2 = net.copy()
+    net2 = copy.deepcopy(net)
     net2.w = [w.copy() for w in net.w]
     net2.w[3] *= 4.0
     np.testing.assert_allclose(model_based_1d(net2), 4.0 * base, rtol=1e-12)

@@ -1,15 +1,18 @@
 """Tests for the coupling-layer network: forward pass, training,
 differentiation oracles, serialization."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
-                                 TrainingDivergedError)
+                                 TrainingDivergedError, ValidationError)
 from knockint.network import (CoupledNetwork, TrainConfig, _flatten,
                               _loss_and_param_grads, _sigmoid, batch_input_gradient,
                               batch_input_hessian, init_network, load_network,
                               predict, raw_output, save_network, train)
+from knockint.table import save_npz
 
 from conftest import random_network
 
@@ -181,7 +184,7 @@ def test_gradient_scales_with_filter_weight():
     net = random_network(p=3, seed=11)
     x = np.full(6, 0.01)  # tiny input keeps pre-activation signs stable
     g1 = _grad1(net, x)[0]
-    net2 = net.copy()
+    net2 = copy.deepcopy(net)
     net2.z = net.z.copy()
     net2.z[0] *= 2.0
     # keep the filter output identical by halving the input coordinate
@@ -443,7 +446,7 @@ def _reference_train(net, X_aug, y, cfg):
     ``train`` must reproduce it bit for bit. Also returns how many steps
     clipped the gradient.
     """
-    net = net.copy()
+    net = copy.deepcopy(net)
     rng = np.random.default_rng(cfg.seed)
     n = X_aug.shape[0]
     n_val = int(round(cfg.validation_fraction * n))
@@ -593,3 +596,10 @@ def test_no_coupling_network_roundtrip(tmp_path):
     loaded = load_network(path)
     assert loaded.z is None and loaded.z_tilde is None
     np.testing.assert_array_equal(loaded.w[0], net.w[0])
+
+
+def test_load_network_names_an_unsupported_version(tmp_path):
+    path = tmp_path / "net.npz"
+    save_npz(path, 2, {"w0": np.zeros(1)})
+    with pytest.raises(ValidationError, match="not of file version 1"):
+        load_network(path)
