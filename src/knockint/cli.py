@@ -27,8 +27,9 @@ from .knockoff import (fit_gaussian, knockoff_diagnostics, read_augmented_csv,
 from .metrics import evaluate
 from .network import (HIDDEN_SIZES, TASKS, TrainConfig, init_network, load_network,
                       save_network, train)
-from .simsuite import SimulationSpec, generate, read_dataset_csv, write_dataset_csv
-from .table import read_json, write_json
+from .simsuite import (SimulationSpec, generate, held_out, read_dataset_csv, read_manifest,
+                       write_dataset_csv)
+from .table import index_pairs, read_json, write_json
 
 # The training options that both ``train`` and ``run`` expose.
 TRAIN_FIELDS = ("learning_rate", "epochs", "batch_size", "l1_filter_penalty",
@@ -56,6 +57,12 @@ def _manifest_for(data_path: Path) -> Path:
     return data_path.with_suffix(".manifest.json")
 
 
+def _read_data(args):
+    """``--data`` with ``--manifest``, else with the manifest beside it if there is one."""
+    beside = _manifest_for(Path(args.data))
+    return read_dataset_csv(args.data, args.manifest or (beside if beside.exists() else None))
+
+
 def cmd_simulate(args):
     spec = SimulationSpec(function_id=args.function,
                           **_picked(args, "n", "p", "seed", "train_fraction"))
@@ -67,8 +74,7 @@ def cmd_simulate(args):
 
 
 def cmd_knockoff(args):
-    manifest = Path(args.manifest) if args.manifest else _manifest_for(Path(args.data))
-    dataset = read_dataset_csv(args.data, manifest if manifest.exists() else None)
+    dataset = _read_data(args)
     X_fit = dataset.train[0]
     model = fit_gaussian(X_fit, ridge=args.ridge, s_scale=args.s_scale)
     X_ko = sample_knockoffs(dataset.X, model, seed=args.seed)
@@ -84,16 +90,17 @@ def cmd_knockoff(args):
 
 
 def cmd_train(args):
-    manifest = Path(args.manifest) if args.manifest else _manifest_for(Path(args.data))
-    dataset = read_dataset_csv(args.data, manifest if manifest.exists() else None)
+    dataset = _read_data(args)
     X_aug = read_augmented_csv(args.augmented)
-    k = dataset.n_train if dataset.n_train is not None else len(dataset.y)
-    p = X_aug.shape[1] // 2
+    n, p = dataset.X.shape
+    if X_aug.shape != (n, 2 * p):
+        raise ValidationError(f"{args.augmented}: {X_aug.shape[0]} x {X_aug.shape[1]} "
+                              f"augmented matrix, expected {n} x {2 * p} for {args.data}")
     hidden = tuple(int(h) for h in args.hidden.split(","))
     net = init_network(p, hidden_sizes=hidden, task=dataset.task,
                        seed=args.seed, coupling=(args.coupling == "on"))
     cfg = TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction", "seed"))
-    net, trace = train(net, X_aug[:k], dataset.y[:k], cfg)
+    net, trace = train(net, X_aug[:dataset.n_train], dataset.train[1], cfg)
     net_out = _out(args.net_out)
     save_network(net, net_out)
     if args.trace_out:
@@ -105,9 +112,8 @@ def cmd_score(args):
     net = load_network(args.net)
     X_aug = read_augmented_csv(args.augmented)
     if args.manifest:
-        k = read_json(args.manifest).get("n_train")
-        if k is not None:
-            X_aug = X_aug[k:] if len(X_aug) > k else X_aug
+        _, n_train, _ = read_manifest(args.manifest, len(X_aug))
+        X_aug = held_out(X_aug, n_train)
     cfg = AttributionConfig(**_picked(args, "alpha_steps", "beta_steps", "sample_cap"))
     scores = compute_scores(net, args.method, X_aug, cfg)
     out = _out(args.out)
@@ -131,14 +137,11 @@ def cmd_select(args):
 
 def cmd_evaluate(args):
     selection = read_json(args.selection)["selected"]
-    if not (isinstance(selection, list) and all(
-            isinstance(pr, list) and len(pr) == 2 and all(type(k) is int for k in pr)
-            for pr in selection)):
+    if not index_pairs(selection):
         raise ValidationError(f"{args.selection}: 'selected' must be a list of index pairs")
-    pairs = read_json(args.manifest).get("ground_truth_pairs")
-    if not pairs:
+    *_, truth = read_manifest(args.manifest)
+    if truth is None:
         raise KnockintError(f"{args.manifest}: manifest carries no ground-truth pairs")
-    truth = {tuple(pr) for pr in pairs}
     scores = read_scores_csv(args.scores)
     p = scores.calibrated.shape[0] // 2
     score_map = harness.oo_score_map(scores.calibrated, p)
@@ -158,16 +161,12 @@ def cmd_run(args):
     else:
         cfg = harness.ExperimentConfig(
             functions=args.functions.split(","),
-            **_picked(args, "n", "p", "q", "repetitions", "method", "calibration",
-                      "coupling", "seed", "s_scale"),
+            **_picked(args, "dataset", "response_column", "task", "n", "p", "q",
+                      "repetitions", "method", "calibration", "coupling", "seed", "s_scale"),
             train=TrainConfig(**_picked(args, *TRAIN_FIELDS)),
             output_dir=str(_out(args.out or "experiment_out")),
             save_intermediates=not args.no_intermediates,
         )
-        if args.dataset:
-            cfg.dataset = args.dataset
-            cfg.response_column = args.response_column
-            cfg.task = args.task
         if args.paper_scale:
             cfg.n = 20000
             cfg.repetitions = 20

@@ -30,8 +30,9 @@ from .importance import METHODS, AttributionConfig, compute_scores, write_scores
 from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
 from .metrics import EvalReport, aggregate, evaluate
 from .network import HIDDEN_SIZES, TrainConfig, init_network, save_network, train
-from .simsuite import Dataset, SimulationSpec, generate, write_dataset_csv
-from .table import read_table, write_json, write_table
+from .simsuite import (Dataset, SimulationSpec, generate, held_out, read_dataset_csv,
+                       write_dataset_csv)
+from .table import write_json, write_table
 
 ON_OFF = ("on", "off")
 
@@ -138,25 +139,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def ingest_csv(path, response_column: str, task: str = "regression") -> Dataset:
-    """Load a header-named CSV into a Dataset; a bad cell raises ``ValidationError``
-    naming its row."""
-    header, data = read_table(path)
-    if response_column not in header:
-        raise ValidationError(
-            f"{path}: response column {response_column!r} not found; "
-            f"available columns: {header}")
-    y_col = header.index(response_column)
-    y = data[:, y_col].copy()
-    if task == "binary":
-        bad = np.flatnonzero((y != 0.0) & (y != 1.0))
-        if bad.size:
-            raise ValidationError(f"{path}: binary response must be 0/1, "
-                                  f"got {y[bad[0]]} in row {bad[0] + 2}")
-    return Dataset(X=np.delete(data, y_col, axis=1), y=y, task=task, ground_truth=None,
-                   n_train=int(round(0.5 * len(y))))
-
-
 def selected_original_pairs(selected, p: int) -> set:
     """Map selected 0-based augmented OO index pairs to 1-based feature pairs."""
     return {(i + 1, j + 1) for i, j in selected if i < p and j < p}
@@ -172,8 +154,8 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
                    rep_dir: Path | None = None, dataset: Dataset | None = None) -> dict:
     """Full pipeline for one (function, repetition) cell; returns arm results.
 
-    ``dataset`` is ``cfg.dataset`` already ingested, so that a run reads the
-    file once; a cell given none reads it itself.
+    ``dataset`` is ``cfg.dataset`` already read, so that a run reads the file
+    once; without ``cfg.dataset`` the cell simulates its own.
     """
     seed_data = derive_seed(cfg.seed, function_id, rep, "data")
     seed_ko = derive_seed(cfg.seed, function_id, rep, "knockoff")
@@ -182,16 +164,14 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
         spec = SimulationSpec(function_id=function_id, n=cfg.n, p=cfg.p,
                               seed=seed_data)
         dataset = generate(spec)
-    elif dataset is None:
-        dataset = ingest_csv(cfg.dataset, cfg.response_column, cfg.task)
     p = dataset.X.shape[1]
 
     X_train, y_train = dataset.train
     model = fit_gaussian(X_train, ridge=cfg.ridge, s_scale=cfg.s_scale)
     X_ko = sample_knockoffs(dataset.X, model, seed=seed_ko)
     X_aug = np.hstack([dataset.X, X_ko])
-    k = dataset.n_train
-    aug_train, aug_test = X_aug[:k], X_aug[k:]
+    aug_train = X_aug[:dataset.n_train]
+    attribution_data = held_out(X_aug, dataset.n_train)
 
     if rep_dir is not None:
         rep_dir.mkdir(parents=True, exist_ok=True)
@@ -216,7 +196,6 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
             write_json(rep_dir / f"trace_coupling_{coupling}.json", trace, compact=True)
 
         for method in methods:
-            attribution_data = aug_test if len(aug_test) else aug_train
             scores = compute_scores(net, method, attribution_data, cfg.attribution)
             if rep_dir is not None:
                 write_scores_csv(
@@ -294,8 +273,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     propagates, and no worker process outlives the call.
     """
     cfg.validate()
-    dataset = (None if cfg.dataset is None
-               else ingest_csv(cfg.dataset, cfg.response_column, cfg.task))
+    dataset = None
+    if cfg.dataset is not None:  # trains on the first half of its rows
+        dataset = read_dataset_csv(cfg.dataset, None, cfg.response_column, cfg.task)
+        dataset.n_train = int(round(0.5 * len(dataset.y)))
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -14,8 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError, GenerationError
-from .table import float_rows, read_json, read_table, write_json, write_table
+from .exceptions import ConfigurationError, GenerationError, ValidationError
+from .network import TASKS
+from .table import float_rows, index_pairs, read_json, read_table, write_json, write_table
 
 
 def _f1(x):
@@ -138,23 +139,26 @@ class SimulationSpec:
 
 @dataclass
 class Dataset:
-    """Feature matrix + response with a fixed train/test row split."""
+    """Feature matrix + response; the first ``n_train`` rows train, the rest are held out."""
 
     X: np.ndarray
     y: np.ndarray
+    n_train: int
     task: str = "regression"
     ground_truth: set | None = None
-    n_train: int | None = None
 
     @property
     def train(self):
-        k = self.n_train if self.n_train is not None else self.X.shape[0]
-        return self.X[:k], self.y[:k]
+        return self.X[:self.n_train], self.y[:self.n_train]
 
     @property
     def test(self):
-        k = self.n_train if self.n_train is not None else self.X.shape[0]
-        return self.X[k:], self.y[k:]
+        return self.X[self.n_train:], self.y[self.n_train:]
+
+
+def held_out(rows, n_train: int):
+    """The rows after the first ``n_train``, or every row when none are held out."""
+    return rows[n_train:] if len(rows) > n_train else rows
 
 
 def evaluate_function(function_id: str, X: np.ndarray) -> np.ndarray:
@@ -172,10 +176,8 @@ def generate(spec: SimulationSpec) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise GenerationError(f"non-finite response at row {bad[0]}")
-    n_train = int(round(spec.train_fraction * spec.n))
-    return Dataset(X=X, y=y, task="regression",
-                   ground_truth=set(GROUND_TRUTH_PAIRS[spec.function_id]),
-                   n_train=n_train)
+    return Dataset(X=X, y=y, n_train=int(round(spec.train_fraction * spec.n)),
+                   ground_truth=set(GROUND_TRUTH_PAIRS[spec.function_id]))
 
 
 def mixed_partial(function_id: str, i: int, j: int, point: np.ndarray,
@@ -245,10 +247,39 @@ def write_dataset_csv(path, dataset: Dataset, manifest_path=None,
         write_json(manifest_path, manifest)
 
 
-def read_dataset_csv(path, manifest_path=None) -> Dataset:
-    _, data = read_table(path)
-    manifest = {} if manifest_path is None else read_json(manifest_path)
-    pairs = manifest.get("ground_truth_pairs")
-    return Dataset(X=data[:, :-1], y=data[:, -1], task=manifest.get("task", "regression"),
-                   ground_truth={tuple(pr) for pr in pairs} if pairs else None,
-                   n_train=manifest.get("n_train"))
+def read_manifest(path, rows: int | None = None) -> tuple:
+    """The checked ``(task, n_train, ground_truth)`` of a manifest for ``rows`` rows
+    (default: its ``n``); missing entries mean regression, all rows train, no truth."""
+    m = read_json(path)
+    rows = m["n"] if rows is None else rows
+    task = m.get("task", "regression")
+    n_train = m.get("n_train", rows)
+    pairs = m.get("ground_truth_pairs")
+    for key, value, ok, want in (
+            ("task", task, task in TASKS, f"one of {TASKS}"),
+            ("n_train", n_train, type(n_train) is type(rows) is int and 1 <= n_train <= rows,
+             f"an int in 1..{rows}"),
+            ("ground_truth_pairs", pairs, pairs is None or index_pairs(pairs), "[int, int] pairs")):
+        if not ok:
+            raise ValidationError(f"{path}: {key!r} must be {want}, got {value!r}")
+    return task, n_train, {tuple(pr) for pr in pairs} if pairs else None
+
+
+def read_dataset_csv(path, manifest_path=None, response_column: str | None = None,
+                     task: str = "regression") -> Dataset:
+    """A header-named CSV whose response is ``response_column``, or else its last
+    column. Task, training rows and ground truth come from the manifest at
+    ``manifest_path``; without one the task is ``task`` and every row trains."""
+    header, data = read_table(path)
+    if response_column is not None and response_column not in header:
+        raise ValidationError(f"{path}: response column {response_column!r} not found; "
+                              f"available columns: {header}")
+    col = len(header) - 1 if response_column is None else header.index(response_column)
+    X, y = np.delete(data, col, axis=1), data[:, col].copy()
+    task, n_train, truth = ((task, len(y), None) if manifest_path is None
+                            else read_manifest(manifest_path, len(y)))
+    bad = np.flatnonzero((y != 0.0) & (y != 1.0))
+    if task == "binary" and bad.size:
+        raise ValidationError(f"{path}: binary response must be 0/1, "
+                              f"got {y[bad[0]]} in row {bad[0] + 2}")
+    return Dataset(X, y, n_train, task, truth)

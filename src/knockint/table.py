@@ -77,6 +77,13 @@ def read_table(path, columns=None) -> tuple[list, np.ndarray]:
     return header, data
 
 
+def index_pairs(value) -> bool:
+    """Whether a JSON value is a list of ``[int, int]`` pairs."""
+    return isinstance(value, list) and all(
+        isinstance(pr, list) and len(pr) == 2 and all(type(k) is int for k in pr)
+        for pr in value)
+
+
 class Entries(dict):
     """A dict read from ``path``; a missing key raises ``ValidationError``."""
 

@@ -200,7 +200,7 @@ def test_criterion_8_ground_truth_oracle():
     oracle for all ten functions."""
     start = time.time()
     for fid in sorted(FUNCTIONS):
-        verify_ground_truth(fid, n_points=20, seed=0)
+        assert verify_ground_truth(fid, n_points=20, seed=0), fid
     elapsed = time.time() - start
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds 60s"
 

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from knockint.exceptions import ConfigurationError, TrainingDivergedError, ValidationError
-from knockint.harness import (ExperimentConfig, derive_seed, ingest_csv,
-                              oo_score_map, run_experiment, run_repetition,
-                              selected_original_pairs)
+from knockint.harness import (ExperimentConfig, derive_seed, oo_score_map,
+                              run_experiment, run_repetition, selected_original_pairs)
 from knockint.importance import METHODS, AttributionConfig
+from knockint.knockoff import write_augmented_csv
 from knockint.network import TrainConfig
-from knockint.simsuite import SimulationSpec
+from knockint.simsuite import SimulationSpec, read_dataset_csv
 from knockint import cli
 
 
@@ -68,7 +68,7 @@ def test_derive_seed_stable_and_distinct():
 def test_ingest_basic(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,2,3\n4,5,6\n")
-    ds = ingest_csv(path, "y")
+    ds = read_dataset_csv(path, None, "y")
     assert ds.X.shape == (2, 2)
     np.testing.assert_array_equal(ds.y, [3.0, 6.0])
 
@@ -77,21 +77,21 @@ def test_ingest_missing_response_column(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,2,3\n")
     with pytest.raises(ValidationError, match="available columns"):
-        ingest_csv(path, "z")
+        read_dataset_csv(path, None, "z")
 
 
 def test_ingest_bad_binary_value(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,y\n1,0\n2,2\n")
     with pytest.raises(ValidationError, match="row 3"):
-        ingest_csv(path, "y", task="binary")
+        read_dataset_csv(path, None, "y", task="binary")
 
 
 def test_ingest_non_numeric_cell(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,y\n1,2\nx,3\n")
     with pytest.raises(ValidationError, match="row 3"):
-        ingest_csv(path, "y")
+        read_dataset_csv(path, None, "y")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
@@ -99,7 +99,16 @@ def test_ingest_non_finite_cell(tmp_path, cell):
     path = tmp_path / "d.csv"
     path.write_text(f"a,y\n1,2\n{cell},3\n")
     with pytest.raises(ValidationError, match="row 3"):
-        ingest_csv(path, "y")
+        read_dataset_csv(path, None, "y")
+
+
+def test_read_dataset_response_defaults_to_last_column(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("y,a,b\n1,2,3\n4,5,6\n")
+    ds = read_dataset_csv(path)
+    np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [4.0, 5.0]])
+    np.testing.assert_array_equal(ds.y, [3.0, 6.0])
+    assert ds.n_train == 2 and ds.task == "regression" and ds.ground_truth is None
 
 
 # ---------------------------------------------------------------- helpers
@@ -289,15 +298,15 @@ def test_run_experiment_external_csv(tmp_path):
 def test_run_experiment_reads_dataset_once(tmp_path, monkeypatch):
     data = tmp_path / "ext.csv"
     data.write_text(_external_csv())
-    import knockint.harness as harness_mod
-    real = harness_mod.read_table
+    import knockint.simsuite as simsuite_mod
+    real = simsuite_mod.read_table
     record, count = _call_log(tmp_path / "reads.log")
 
     def counted(*args, **kwargs):
         record()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness_mod, "read_table", counted)
+    monkeypatch.setattr(simsuite_mod, "read_table", counted)
     cfg = _tiny_cfg(tmp_path, functions=[], dataset=str(data), response_column="resp",
                     repetitions=3)
     report = run_experiment(cfg)
@@ -368,7 +377,36 @@ MALFORMED_INPUTS = {
     "run_config_list": ("run --config {d}/list.json", "list.json"),
     "run_config_unknown_train_field": ("run --config {d}/train_foo.json", "train.foo"),
     "run_config_wrong_type": ("run --config {d}/n_abc.json", "field n:"),
+    "train_binary_response_not_0_1": ("train --data {d}/data.csv --manifest {d}/binary.json "
+                                      "--augmented {d}/aug.csv --batch-size 16 --epochs 1 "
+                                      "--net-out {d}/x.npz", "data.csv"),
+    "train_augmented_wrong_shape": ("train --data {d}/data.csv --augmented {d}/aug_p12.csv "
+                                    "--batch-size 16 --epochs 1 --net-out {d}/x.npz",
+                                    "aug_p12.csv"),
 }
+
+# Entries that spoil the 60-row dataset's manifest, each read by every stage
+# that takes a manifest.
+BAD_MANIFESTS = {
+    "pairs_int": {"ground_truth_pairs": 5},
+    "pairs_triple": {"ground_truth_pairs": [[1, 2, 3]]},
+    "n_train_text": {"n_train": "x"},
+    "n_train_over_rows": {"n_train": 1000},
+    "task_poisson": {"task": "poisson"},
+}
+MANIFEST_READERS = {
+    "knockoff": "knockoff --data {d}/data.csv --manifest {d}/{m} --augmented-out {d}/x.csv "
+                "--model-out {d}/x.npz",
+    "score": "score --net {d}/net.npz --augmented {d}/aug.csv --manifest {d}/{m} "
+             "--out {d}/x.csv",
+    "evaluate": "evaluate --selection {d}/pair.json --scores {d}/scores.csv --manifest {d}/{m} "
+                "--out {d}/x.json",
+}
+MALFORMED_INPUTS["knockoff_manifest_missing"] = (
+    MANIFEST_READERS["knockoff"].replace("{m}", "missing.json"), "missing.json")
+MALFORMED_INPUTS.update({
+    f"{command}_manifest_{bad}": (argv.replace("{m}", f"{bad}.json"), f"{bad}.json")
+    for command, argv in MANIFEST_READERS.items() for bad in BAD_MANIFESTS})
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +417,15 @@ def malformed_dir(tmp_path_factory):
     assert _run_cli(["knockoff", "--data", str(d / "data.csv"),
                      "--augmented-out", str(d / "aug.csv"),
                      "--model-out", str(d / "model.npz")]) == 0
+    assert _run_cli(["train", "--data", str(d / "data.csv"), "--augmented", str(d / "aug.csv"),
+                     "--hidden", "4,3,2", "--batch-size", "16", "--epochs", "1",
+                     "--net-out", str(d / "net.npz")]) == 0
+    manifest = json.loads((d / "data.manifest.json").read_text())
+    for name, entries in {**BAD_MANIFESTS, "binary": {"task": "binary"}}.items():
+        (d / f"{name}.json").write_text(json.dumps({**manifest, **entries}))
+    X = np.random.default_rng(0).uniform(size=(50, 12))
+    write_augmented_csv(d / "aug_p12.csv", X, X)
+    (d / "pair.json").write_text('{"selected": [[0, 1]]}')
     (d / "scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n")
     (d / "text.txt").write_text("not an array\n")
     np.savez(d / "nometa.npz", w0=np.zeros(2))

@@ -101,7 +101,14 @@ def test_mixed_partial_additive_pair_is_zero():
 
 @pytest.mark.parametrize("fid", sorted(FUNCTIONS))
 def test_oracle_confirms_frozen_ground_truth(fid):
-    verify_ground_truth(fid, n_points=20, seed=0)
+    assert verify_ground_truth(fid, n_points=20, seed=0)
+
+
+def test_oracle_rejects_a_wrong_pair_list(monkeypatch):
+    truth = GROUND_TRUTH_PAIRS["F5"]
+    for wrong in (truth - {(8, 9)}, truth | {(6, 7)}):
+        monkeypatch.setitem(GROUND_TRUTH_PAIRS, "F5", wrong)
+        assert not verify_ground_truth("F5", n_points=20, seed=0)
 
 
 def test_dataset_csv_roundtrip(tmp_path):

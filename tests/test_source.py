@@ -79,6 +79,28 @@ def test_only_table_reads_and_writes_json_and_npz(path):
     assert file_format_calls(path.read_text()) == []
 
 
+MANIFEST_KEYS = ("n_train", "ground_truth_pairs")
+
+
+def manifest_key_spellings(source: str) -> list:
+    """Lines that spell a dataset manifest key as a string."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and node.value in MANIFEST_KEYS)
+
+
+def test_manifest_key_spellings_detected():
+    source = 'm["n_train"]\nd.n_train\nm.get("ground_truth_pairs")\nx = "n_train_x"\nf(n_train=1)\n'
+    assert manifest_key_spellings(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "simsuite.py"],
+                         ids=lambda p: p.name)
+def test_only_simsuite_spells_manifest_keys(path):
+    # The manifest format, and the checks on each of its entries, are
+    # simsuite.py's alone; every other module asks read_manifest.
+    assert manifest_key_spellings(path.read_text()) == []
+
+
 def top_level_names(source: str) -> list:
     """Names a module defines at its top level."""
     names = []
