@@ -15,18 +15,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness
 from .exceptions import KnockintError, ValidationError
-from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_selection_json
+from .fdr import write_selection_csv, write_selection_json
 from .importance import (METHODS, AttributionConfig, compute_scores, read_scores_csv,
                          write_scores_csv)
-from .knockoff import (fit_gaussian, knockoff_diagnostics, read_augmented_csv,
-                       sample_knockoffs, save_model, write_augmented_csv)
-from .metrics import evaluate
-from .network import (HIDDEN_SIZES, TASKS, TrainConfig, init_network, load_network,
-                      save_network, train)
+from .knockoff import knockoff_diagnostics, read_augmented_csv, save_model, write_augmented_csv
+from .network import HIDDEN_SIZES, TASKS, TrainConfig, load_network, save_network
 from .simsuite import (SimulationSpec, generate, held_out, read_dataset_csv, read_manifest,
                        write_dataset_csv)
 from .table import index_pairs, read_json, write_json
@@ -63,6 +58,21 @@ def _read_data(args):
     return read_dataset_csv(args.data, args.manifest or (beside if beside.exists() else None))
 
 
+def _read_augmented(path, n, p, source):
+    """The ``--augmented`` matrix, checked to be n x 2p (any n when ``n`` is None)."""
+    X_aug = read_augmented_csv(path)
+    if X_aug.shape[1] != 2 * p or n not in (None, X_aug.shape[0]):
+        want = f"{2 * p} columns" if n is None else f"{n} x {2 * p}"
+        raise ValidationError(f"{path}: {X_aug.shape[0]} x {X_aug.shape[1]} "
+                              f"augmented matrix, expected {want} for {source}")
+    return X_aug
+
+
+def hidden_sizes(text: str) -> str:
+    """The ``--hidden`` type: comma-separated ints, such as ``64,32,16``."""
+    return ",".join(str(int(h)) for h in text.split(","))
+
+
 def cmd_simulate(args):
     spec = SimulationSpec(function_id=args.function,
                           **_picked(args, "n", "p", "seed", "train_fraction"))
@@ -75,9 +85,7 @@ def cmd_simulate(args):
 
 def cmd_knockoff(args):
     dataset = _read_data(args)
-    X_fit = dataset.train[0]
-    model = fit_gaussian(X_fit, ridge=args.ridge, s_scale=args.s_scale)
-    X_ko = sample_knockoffs(dataset.X, model, seed=args.seed)
+    model, X_ko = harness.make_knockoffs(dataset, args.ridge, args.s_scale, args.seed)
     aug_out = _out(args.augmented_out)
     write_augmented_csv(aug_out, dataset.X, X_ko)
     model_out = _out(args.model_out)
@@ -91,16 +99,10 @@ def cmd_knockoff(args):
 
 def cmd_train(args):
     dataset = _read_data(args)
-    X_aug = read_augmented_csv(args.augmented)
-    n, p = dataset.X.shape
-    if X_aug.shape != (n, 2 * p):
-        raise ValidationError(f"{args.augmented}: {X_aug.shape[0]} x {X_aug.shape[1]} "
-                              f"augmented matrix, expected {n} x {2 * p} for {args.data}")
-    hidden = tuple(int(h) for h in args.hidden.split(","))
-    net = init_network(p, hidden_sizes=hidden, task=dataset.task,
-                       seed=args.seed, coupling=(args.coupling == "on"))
-    cfg = TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction", "seed"))
-    net, trace = train(net, X_aug[:dataset.n_train], dataset.train[1], cfg)
+    X_aug = _read_augmented(args.augmented, *dataset.X.shape, args.data)
+    net, trace = harness.fit_network(
+        dataset, X_aug, args.coupling, tuple(map(int, args.hidden.split(","))),
+        TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction", "seed")))
     net_out = _out(args.net_out)
     save_network(net, net_out)
     if args.trace_out:
@@ -110,7 +112,7 @@ def cmd_train(args):
 
 def cmd_score(args):
     net = load_network(args.net)
-    X_aug = read_augmented_csv(args.augmented)
+    X_aug = _read_augmented(args.augmented, None, net.p, args.net)
     if args.manifest:
         _, n_train, _ = read_manifest(args.manifest, len(X_aug))
         X_aug = held_out(X_aug, n_train)
@@ -123,9 +125,7 @@ def cmd_score(args):
 
 def cmd_select(args):
     scores = read_scores_csv(args.scores)
-    S = np.abs(scores.s2d) if args.use_raw else scores.calibrated
-    gamma = build_gamma(S)
-    result = interaction_threshold(gamma, args.q)
+    _, gamma, result = harness.select_arm(scores, "off" if args.use_raw else "on", args.q)
     json_out = _out(args.json_out)
     write_selection_json(json_out, result)
     if args.csv_out:
@@ -142,11 +142,7 @@ def cmd_evaluate(args):
     *_, truth = read_manifest(args.manifest)
     if truth is None:
         raise KnockintError(f"{args.manifest}: manifest carries no ground-truth pairs")
-    scores = read_scores_csv(args.scores)
-    p = scores.calibrated.shape[0] // 2
-    score_map = harness.oo_score_map(scores.calibrated, p)
-    selected = harness.selected_original_pairs(selection, p)
-    report = evaluate(score_map, selected, truth)
+    report = harness.score_selection(read_scores_csv(args.scores).calibrated, selection, truth)
     out = _out(args.out)
     write_json(out, report.to_dict())
     print(f"wrote {out} (auroc={report.auroc:.3f}, fdp={report.fdp:.3f}, "
@@ -156,20 +152,18 @@ def cmd_evaluate(args):
 def cmd_run(args):
     if args.config:
         cfg = harness.ExperimentConfig.from_dict(read_json(args.config))
-        if args.out:
-            cfg.output_dir = str(_out(args.out))
     else:
         cfg = harness.ExperimentConfig(
             functions=args.functions.split(","),
             **_picked(args, "dataset", "response_column", "task", "n", "p", "q",
                       "repetitions", "method", "calibration", "coupling", "seed", "s_scale"),
             train=TrainConfig(**_picked(args, *TRAIN_FIELDS)),
-            output_dir=str(_out(args.out or "experiment_out")),
             save_intermediates=not args.no_intermediates,
         )
         if args.paper_scale:
             cfg.n = 20000
             cfg.repetitions = 20
+    cfg.output_dir = str(_out(args.out or cfg.output_dir))
     report = harness.run_experiment(cfg)
     n_err = len(report["errors"])
     print(f"wrote {cfg.output_dir}/report.json "
@@ -219,7 +213,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--manifest")
     p.add_argument("--augmented", required=True)
-    p.add_argument("--hidden", default=",".join(map(str, HIDDEN_SIZES)))
+    p.add_argument("--hidden", type=hidden_sizes, default=",".join(map(str, HIDDEN_SIZES)))
     _fields(p, harness.ExperimentConfig, "coupling", coupling={"choices": harness.ON_OFF})
     _fields(p, TrainConfig, *TRAIN_FIELDS, "validation_fraction", "seed")
     p.add_argument("--net-out", required=True)

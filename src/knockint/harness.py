@@ -1,14 +1,14 @@
 """Experiment orchestration: simulate -> knockoff -> train -> score ->
 select -> evaluate, with repetition management and report emission.
 
-Within a repetition the stages pass arrays to each other in memory. With
-``save_intermediates`` on, each repetition also writes every stage's output
-to its own subdirectory of the output directory, in the formats the
-standalone CLI stages read, so any stage can be rerun from those files; with
-it off, only the report files are written. Per-repetition seeds are derived
-by hashing (master seed, function, repetition), making repetitions
-independent and individually rerunnable; a run spreads its cells over one
-process per usable CPU and writes the same bytes as a serial run.
+Each stage's rule (``make_knockoffs``, ``fit_network``, ``select_arm``,
+``score_selection``) is one function here, called both by a repetition and
+by the matching CLI stage command. Within a repetition the stages pass
+arrays in memory; with ``save_intermediates`` on, each repetition also
+writes its dataset, manifest and every stage's output to its own directory,
+simulated or external, so any stage reruns from those files. Per-repetition
+seeds hash (master seed, function, repetition); a run spreads its cells over
+one process per usable CPU and writes the same bytes as a serial run.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_
 from .importance import METHODS, AttributionConfig, compute_scores, write_scores_csv
 from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
 from .metrics import EvalReport, aggregate, evaluate
-from .network import HIDDEN_SIZES, TrainConfig, init_network, save_network, train
+from .network import HIDDEN_SIZES, TASKS, TrainConfig, init_network, save_network, train
 from .simsuite import (Dataset, SimulationSpec, generate, held_out, read_dataset_csv,
                        write_dataset_csv)
 from .table import write_json, write_table
@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigurationError("repetitions must be >= 1")
         if not 0 < self.s_scale <= 1:
             raise ConfigurationError("s_scale must lie in (0, 1]")
+        if self.task not in TASKS:
+            raise ConfigurationError(f"task must be one of {TASKS}, got {self.task!r}")
         self.train.validate()
         self.attribution.validate()
         _expand(self.method, METHODS)
@@ -150,6 +152,32 @@ def oo_score_map(S: np.ndarray, p: int) -> dict:
             for i in range(p) for j in range(i + 1, p)}
 
 
+def make_knockoffs(dataset: Dataset, ridge: float, s_scale: float, seed: int) -> tuple:
+    """``(model, X_ko)``: a model fitted on the training rows, sampled for every row."""
+    model = fit_gaussian(dataset.train[0], ridge=ridge, s_scale=s_scale)
+    return model, sample_knockoffs(dataset.X, model, seed=seed)
+
+
+def fit_network(dataset: Dataset, X_aug, coupling: str, hidden_sizes, train_cfg) -> tuple:
+    """``(net, trace)``: a network seeded by ``train_cfg``, trained on the training rows."""
+    net = init_network(dataset.X.shape[1], hidden_sizes=hidden_sizes, task=dataset.task,
+                       seed=train_cfg.seed, coupling=(coupling == "on"))
+    return train(net, X_aug[:dataset.n_train], dataset.train[1], train_cfg)
+
+
+def select_arm(scores, calibration: str, q: float) -> tuple:
+    """``(S, gamma, selection)``: calibrated or, with calibration off, raw |2D| scores."""
+    S = scores.calibrated if calibration == "on" else np.abs(scores.s2d)
+    gamma = build_gamma(S)
+    return S, gamma, interaction_threshold(gamma, q)
+
+
+def score_selection(S: np.ndarray, selected, truth) -> EvalReport:
+    """The 2p x 2p scores and selected augmented index pairs against 1-based ``truth``."""
+    p = S.shape[0] // 2
+    return evaluate(oo_score_map(S, p), selected_original_pairs(selected, p), truth)
+
+
 def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
                    rep_dir: Path | None = None, dataset: Dataset | None = None) -> dict:
     """Full pipeline for one (function, repetition) cell; returns arm results.
@@ -160,24 +188,18 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
     seed_data = derive_seed(cfg.seed, function_id, rep, "data")
     seed_ko = derive_seed(cfg.seed, function_id, rep, "knockoff")
 
+    spec = None
     if cfg.dataset is None:
-        spec = SimulationSpec(function_id=function_id, n=cfg.n, p=cfg.p,
-                              seed=seed_data)
+        spec = SimulationSpec(function_id=function_id, n=cfg.n, p=cfg.p, seed=seed_data)
         dataset = generate(spec)
-    p = dataset.X.shape[1]
 
-    X_train, y_train = dataset.train
-    model = fit_gaussian(X_train, ridge=cfg.ridge, s_scale=cfg.s_scale)
-    X_ko = sample_knockoffs(dataset.X, model, seed=seed_ko)
+    model, X_ko = make_knockoffs(dataset, cfg.ridge, cfg.s_scale, seed_ko)
     X_aug = np.hstack([dataset.X, X_ko])
-    aug_train = X_aug[:dataset.n_train]
     attribution_data = held_out(X_aug, dataset.n_train)
 
     if rep_dir is not None:
         rep_dir.mkdir(parents=True, exist_ok=True)
-        if cfg.dataset is None:
-            write_dataset_csv(rep_dir / "dataset.csv", dataset,
-                              rep_dir / "manifest.json", spec)
+        write_dataset_csv(rep_dir / "dataset.csv", dataset, rep_dir / "manifest.json", spec)
         save_model(model, rep_dir / "knockoff_model.npz")
         write_augmented_csv(rep_dir / "augmented.csv", dataset.X, X_ko)
 
@@ -188,9 +210,8 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
     results = {}
     for coupling in couplings:
         seed_net = derive_seed(cfg.seed, function_id, rep, "net", coupling)
-        net = init_network(p, hidden_sizes=cfg.hidden_sizes, task=dataset.task,
-                          seed=seed_net, coupling=(coupling == "on"))
-        net, trace = train(net, aug_train, y_train, replace(cfg.train, seed=seed_net))
+        net, trace = fit_network(dataset, X_aug, coupling, cfg.hidden_sizes,
+                                 replace(cfg.train, seed=seed_net))
         if rep_dir is not None:
             save_network(net, rep_dir / f"net_coupling_{coupling}.npz")
             write_json(rep_dir / f"trace_coupling_{coupling}.json", trace, compact=True)
@@ -201,9 +222,7 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
                 write_scores_csv(
                     rep_dir / f"scores_{method}_coupling_{coupling}.csv", scores)
             for calibration in calibrations:
-                S = scores.calibrated if calibration == "on" else np.abs(scores.s2d)
-                gamma = build_gamma(S)
-                selection = interaction_threshold(gamma, cfg.q)
+                S, gamma, selection = select_arm(scores, calibration, cfg.q)
                 arm = f"{method}|calibration_{calibration}|coupling_{coupling}"
                 entry = {"selection": selection.to_dict(),
                          "trace_final_loss": trace["train_loss"][-1]}
@@ -212,10 +231,8 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
                     write_selection_json(rep_dir / f"{stem}.json", selection)
                     write_selection_csv(rep_dir / f"{stem}.csv", gamma, selection)
                 if dataset.ground_truth is not None:
-                    report = evaluate(oo_score_map(S, p),
-                                      selected_original_pairs(selection.selected, p),
-                                      dataset.ground_truth)
-                    entry["eval"] = report.to_dict()
+                    entry["eval"] = score_selection(S, selection.selected,
+                                                    dataset.ground_truth).to_dict()
                 results[arm] = entry
     return results
 

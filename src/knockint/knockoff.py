@@ -19,7 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import linalg
 
-from .exceptions import ConfigurationError, ContractViolation, DegenerateFeatureError
+from .exceptions import (ConfigurationError, ContractViolation, DegenerateFeatureError,
+                         ValidationError)
 from .table import float_rows, load_npz, read_table, save_npz, write_table
 
 MODEL_VERSION = 1
@@ -166,7 +167,7 @@ def read_augmented_csv(path) -> np.ndarray:
     header, data = read_table(path)
     n_ko = sum(1 for name in header if name.endswith("_ko"))
     if n_ko * 2 != len(header):
-        raise ContractViolation("augmented CSV must have equal original and _ko columns")
+        raise ValidationError(f"{path}: augmented CSV must have equal original and _ko columns")
     return data
 
 

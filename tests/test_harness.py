@@ -328,6 +328,14 @@ def test_cli_usage_error_exit_code():
     assert err.value.code == 1
 
 
+def test_cli_hidden_not_ints_usage_error_exit_code(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        _run_cli(["train", "--data", str(tmp_path / "d.csv"), "--augmented",
+                  str(tmp_path / "a.csv"), "--hidden", "8,x", "--net-out", str(tmp_path / "n.npz")])
+    assert err.value.code == 1
+    assert "argument --hidden: invalid hidden_sizes value: '8,x'" in capsys.readouterr().err
+
+
 def test_cli_runtime_error_exit_code(tmp_path):
     rc = _run_cli(["knockoff", "--data", str(tmp_path / "missing.csv"),
                    "--augmented-out", str(tmp_path / "a.csv"),
@@ -383,6 +391,11 @@ MALFORMED_INPUTS = {
     "train_augmented_wrong_shape": ("train --data {d}/data.csv --augmented {d}/aug_p12.csv "
                                     "--batch-size 16 --epochs 1 --net-out {d}/x.npz",
                                     "aug_p12.csv"),
+    "score_augmented_wrong_width": ("score --net {d}/net.npz --augmented {d}/aug_p12.csv "
+                                    "--out {d}/x.csv", "aug_p12.csv"),
+    "score_augmented_without_ko_columns": ("score --net {d}/net.npz --augmented {d}/data.csv "
+                                           "--out {d}/x.csv", "data.csv"),
+    "run_config_task_poisson": ("run --config {d}/task_poisson_cfg.json", "task"),
 }
 
 # Entries that spoil the 60-row dataset's manifest, each read by every stage
@@ -434,6 +447,8 @@ def malformed_dir(tmp_path_factory):
     (d / "triple.json").write_text('{"selected": [[0, 1, 2]]}')
     (d / "train_foo.json").write_text('{"train": {"foo": 1}}')
     (d / "n_abc.json").write_text('{"n": "abc"}')
+    (d / "task_poisson_cfg.json").write_text(json.dumps(
+        {"task": "poisson", "output_dir": str(d / "task_out")}))
     return d
 
 
@@ -519,19 +534,27 @@ def test_cli_stagewise_pipeline(tmp_path, capsys):
     assert set(blob) >= {"auroc", "fdp", "power"}
 
 
-def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path):
+@pytest.mark.parametrize("function_id", ["F6", "external"])
+def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path, function_id):
     # The harness promise: each stage reruns from a repetition's saved files,
-    # given the repetition's derive_seed seeds and its manifest.
+    # given the repetition's derive_seed seeds and its manifest, for simulated
+    # and external (run --dataset) data alike.
+    external = {}
+    if function_id == "external":
+        csv = tmp_path / "ext.csv"
+        csv.write_text(_external_csv())
+        external = dict(functions=[], dataset=str(csv), response_column="resp")
     cfg = _tiny_cfg(tmp_path, method="both", calibration="both", coupling="both",
                     save_intermediates=True, hidden_sizes=(8, 6, 4),
-                    attribution=AttributionConfig(alpha_steps=4, beta_steps=4, sample_cap=20))
+                    attribution=AttributionConfig(alpha_steps=4, beta_steps=4, sample_cap=20),
+                    **external)
     run_experiment(cfg)
-    rep = Path(cfg.output_dir) / "F6_rep000"
+    rep = Path(cfg.output_dir) / f"{function_id}_rep000"
     again = tmp_path / "again"
     data = ["--data", rep / "dataset.csv", "--manifest", rep / "manifest.json"]
 
     def seed(*parts):
-        return derive_seed(cfg.seed, "F6", 0, *parts)
+        return derive_seed(cfg.seed, function_id, 0, *parts)
 
     def rerun(*args):
         assert _run_cli([str(a) for a in args]) == 0
@@ -586,6 +609,14 @@ def test_cli_output_root_env(tmp_path, monkeypatch):
     assert _run_cli(["simulate", "--function", "F6", "--n", "50", "--p", "10",
                      "--out", "sub/data.csv"]) == 0
     assert (tmp_path / "sub" / "data.csv").exists()
+    # A config file's relative output_dir resolves against the root too.
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    cfg = _tiny_cfg(tmp_path, output_dir="cfgout")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert (tmp_path / "cfgout" / "report.json").exists()
+    assert not (tmp_path / "cwd" / "cfgout").exists()
 
 
 # Option names of each subcommand, as the CLI has always had them.

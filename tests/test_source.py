@@ -143,3 +143,30 @@ REFERENCES = set().union(*(references(p.read_text()) for d in ("src", "tests", "
                          ids=lambda p: p.name)
 def test_every_top_level_name_is_referenced(path):
     assert [n for n in top_level_names(path.read_text()) if n not in REFERENCES] == []
+
+
+# The pipeline rules the CLI stage commands reach through harness's stage
+# functions (make_knockoffs, fit_network, select_arm, score_selection).
+STAGE_RULE_CALLS = ("fit_gaussian", "sample_knockoffs", "init_network", "train",
+                    "build_gamma", "interaction_threshold", "evaluate")
+
+
+def stage_rule_calls(source: str) -> list:
+    """Lines that call one of ``STAGE_RULE_CALLS``, bare or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  in STAGE_RULE_CALLS)
+
+
+def test_stage_rule_calls_detected():
+    source = ("train(net)\ncmd_train(a)\nmetrics.evaluate(s)\nf = build_gamma\n"
+              "harness.fit_network(d)\nm.fit_gaussian(X)\n")
+    assert stage_rule_calls(source) == [1, 3, 6]
+
+
+def test_cli_calls_no_stage_rule_directly():
+    # run and each stage command share one function per stage in harness, so
+    # a repetition's saved files rerun stage by stage to the same bytes.
+    cli = Path(knockint.__file__).parent / "cli.py"
+    assert stage_rule_calls(cli.read_text()) == []
