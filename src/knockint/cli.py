@@ -114,7 +114,7 @@ def cmd_score(args):
     net = load_network(args.net)
     X_aug = _read_augmented(args.augmented, None, net.p, args.net)
     if args.manifest:
-        _, n_train, _ = read_manifest(args.manifest, len(X_aug))
+        _, n_train, _ = read_manifest(args.manifest, len(X_aug), net.p)
         X_aug = held_out(X_aug, n_train)
     cfg = AttributionConfig(**_picked(args, "alpha_steps", "beta_steps", "sample_cap"))
     scores = compute_scores(net, args.method, X_aug, cfg)

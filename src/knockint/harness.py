@@ -95,6 +95,9 @@ class ExperimentConfig:
             raise ConfigurationError("s_scale must lie in (0, 1]")
         if self.task not in TASKS:
             raise ConfigurationError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.dataset is None:  # every function, before any cell runs
+            for function_id in self.functions:
+                SimulationSpec(function_id, self.n, self.p).validate()
         self.train.validate()
         self.attribution.validate()
         _expand(self.method, METHODS)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import ContractViolation
 
@@ -24,7 +23,7 @@ class EvalReport:
 
 
 def auroc(scores: dict, truth: set) -> float:
-    """Rank-based AUROC with midrank tie handling.
+    """Rank-based AUROC with midrank tie handling, as a Mann-Whitney count.
 
     ``scores`` maps candidate pairs to reals; ``truth`` is the positive set.
     Needs at least one positive and one negative among the candidates.
@@ -36,8 +35,12 @@ def auroc(scores: dict, truth: set) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ContractViolation("AUROC undefined without both positives and negatives")
     vals = np.array([scores[pair] for pair in pairs], dtype=float)
-    ranks = rankdata(vals)  # midranks for ties
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+    neg = np.sort(vals[~labels])
+    pos = vals[labels]
+    # Twice the Mann-Whitney U: per positive, the negatives below it (left)
+    # plus those at or below it (right), so a tie counts one half.
+    twice_u = (np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")).sum()
+    return float(twice_u / (2 * n_pos * n_neg))
 
 
 def fdp_power(selected: set, truth: set) -> tuple:

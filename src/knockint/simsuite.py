@@ -247,11 +247,13 @@ def write_dataset_csv(path, dataset: Dataset, manifest_path=None,
         write_json(manifest_path, manifest)
 
 
-def read_manifest(path, rows: int | None = None) -> tuple:
+def read_manifest(path, rows: int | None = None, cols: int | None = None) -> tuple:
     """The checked ``(task, n_train, ground_truth)`` of a manifest for ``rows`` rows
-    (default: its ``n``); missing entries mean regression, all rows train, no truth."""
+    and ``cols`` features (default: its ``n`` and ``p``); missing entries mean
+    regression, all rows train, no truth."""
     m = read_json(path)
     rows = m["n"] if rows is None else rows
+    cols = m["p"] if cols is None else cols
     task = m.get("task", "regression")
     n_train = m.get("n_train", rows)
     pairs = m.get("ground_truth_pairs")
@@ -259,7 +261,10 @@ def read_manifest(path, rows: int | None = None) -> tuple:
             ("task", task, task in TASKS, f"one of {TASKS}"),
             ("n_train", n_train, type(n_train) is type(rows) is int and 1 <= n_train <= rows,
              f"an int in 1..{rows}"),
-            ("ground_truth_pairs", pairs, pairs is None or index_pairs(pairs), "[int, int] pairs")):
+            ("ground_truth_pairs", pairs, pairs is None or (
+                index_pairs(pairs) and type(cols) is int
+                and all(1 <= i < j <= cols for i, j in pairs)),
+             f"[i, j] pairs with 1 <= i < j <= {cols}")):
         if not ok:
             raise ValidationError(f"{path}: {key!r} must be {want}, got {value!r}")
     return task, n_train, {tuple(pr) for pr in pairs} if pairs else None
@@ -277,7 +282,7 @@ def read_dataset_csv(path, manifest_path=None, response_column: str | None = Non
     col = len(header) - 1 if response_column is None else header.index(response_column)
     X, y = np.delete(data, col, axis=1), data[:, col].copy()
     task, n_train, truth = ((task, len(y), None) if manifest_path is None
-                            else read_manifest(manifest_path, len(y)))
+                            else read_manifest(manifest_path, *X.shape))
     bad = np.flatnonzero((y != 0.0) & (y != 1.0))
     if task == "binary" and bad.size:
         raise ValidationError(f"{path}: binary response must be 0/1, "

@@ -40,7 +40,15 @@ def test_config_validation():
         ExperimentConfig(s_scale=0.0).validate()
     with pytest.raises(ConfigurationError):
         ExperimentConfig(method="nope").validate()
+    with pytest.raises(ConfigurationError, match="'F11'"):
+        ExperimentConfig(functions=["F6", "F11"]).validate()
+    with pytest.raises(ConfigurationError, match="p must be >= 10"):
+        ExperimentConfig(p=9).validate()
+    with pytest.raises(ConfigurationError, match="n must be >= 2"):
+        ExperimentConfig(n=1).validate()
     ExperimentConfig(method="both", calibration="both", coupling="both").validate()
+    # an external dataset has no benchmark function to check
+    ExperimentConfig(dataset="x.csv", functions=["F11"], p=3).validate()
 
 
 def test_config_roundtrip():
@@ -403,6 +411,9 @@ MALFORMED_INPUTS = {
 BAD_MANIFESTS = {
     "pairs_int": {"ground_truth_pairs": 5},
     "pairs_triple": {"ground_truth_pairs": [[1, 2, 3]]},
+    "pairs_reversed": {"ground_truth_pairs": [[1, 2], [4, 3]]},
+    "pairs_zero_based": {"ground_truth_pairs": [[0, 1]]},
+    "pairs_beyond_p": {"ground_truth_pairs": [[9, 11]]},
     "n_train_text": {"n_train": "x"},
     "n_train_over_rows": {"n_train": 1000},
     "task_poisson": {"task": "poisson"},
@@ -492,6 +503,15 @@ def test_cli_run_every_repetition_failed_exit_code(tmp_path, monkeypatch):
     assert rc == 2
     report = json.loads((out / "report.json").read_text())
     assert len(report["errors"]) == 2
+
+
+def test_cli_run_unknown_function_exit_code(tmp_path, capsys):
+    out = tmp_path / "exp"
+    rc = _run_cli(["run", "--functions", "F6,F11", "--n", "200", "--p", "10",
+                   "--repetitions", "1", "--epochs", "2", "--out", str(out)])
+    assert rc == 2
+    assert "'F11'" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_cli_run_bad_dataset_exit_code(tmp_path, capsys):

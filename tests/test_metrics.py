@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from knockint.exceptions import ContractViolation
 from knockint.metrics import EvalReport, aggregate, auroc, evaluate, fdp_power
@@ -42,6 +43,26 @@ def test_auroc_invariant_under_increasing_transform():
     base = auroc(scores, truth)
     for f in (lambda v: 3 * v + 2, np.exp, lambda v: v ** 3):
         assert auroc({k: float(f(v)) for k, v in scores.items()}, truth) == base
+
+
+def midrank_auroc(pos, neg) -> float:
+    """The rank-sum AUROC, with scipy's midranks for ties."""
+    ranks = rankdata(np.array(pos + neg, dtype=float))
+    n_pos, n_neg = len(pos), len(neg)
+    return float((ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
+
+
+# Small integers make ties between and within the classes common.
+SCORES = st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(allow_nan=False)),
+                  min_size=1, max_size=40)
+
+
+@given(SCORES, SCORES)
+@settings(max_examples=300, deadline=None)
+def test_auroc_equals_midrank_formula(pos, neg):
+    scores = {**{(1, k): v for k, v in enumerate(pos)},
+              **{(2, k): v for k, v in enumerate(neg)}}
+    assert auroc(scores, {(1, k) for k in range(len(pos))}) == midrank_auroc(pos, neg)
 
 
 def test_fdp_power_exact_recovery():

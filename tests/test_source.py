@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,6 +102,45 @@ def test_only_simsuite_spells_manifest_keys(path):
     # The manifest format, and the checks on each of its entries, are
     # simsuite.py's alone; every other module asks read_manifest.
     assert manifest_key_spellings(path.read_text()) == []
+
+
+def scipy_imports(source: str) -> list:
+    """Lines that import ``scipy`` or one of its submodules."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "scipy" for module in modules):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scipy_imports_detected():
+    source = ("import scipy\nfrom scipy import linalg\nimport scipyx\n"
+              "from scipy.stats import rankdata\nimport numpy, scipy.linalg as sl\n"
+              "from .scipy import x\n")
+    assert scipy_imports(source) == [1, 2, 4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(Path(knockint.__file__).parent.glob("*.py"))
+                                  if p.name != "knockoff.py"], ids=lambda p: p.name)
+def test_only_knockoff_imports_scipy(path):
+    # knockoff.py's scipy.linalg is the package's one use of scipy; the rest
+    # is numpy, so importing knockint loads no more of scipy than that.
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_import_loads_no_scipy_stats():
+    env = {**os.environ, "PYTHONPATH": str(Path(knockint.__file__).parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, knockint; print(*sorted(m for m in sys.modules "
+         "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert loaded == []
 
 
 def top_level_names(source: str) -> list:
