@@ -142,7 +142,11 @@ def cmd_evaluate(args):
     *_, truth = read_manifest(args.manifest)
     if truth is None:
         raise KnockintError(f"{args.manifest}: manifest carries no ground-truth pairs")
-    report = harness.score_selection(read_scores_csv(args.scores).calibrated, selection, truth)
+    S = read_scores_csv(args.scores).calibrated
+    if not all(0 <= i < j < len(S) for i, j in selection):
+        raise ValidationError(f"{args.selection}: every selected pair must have "
+                              f"0 <= i < j < {len(S)}, the scores' width")
+    report = harness.score_selection(S, selection, truth)
     out = _out(args.out)
     write_json(out, report.to_dict())
     print(f"wrote {out} (auroc={report.auroc:.3f}, fdp={report.fdp:.3f}, "

@@ -100,6 +100,10 @@ def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfi
 
     Samples are the first ``sample_cap`` rows of ``X_aug``; ``dx = x - x'``.
     ``derivative`` is called once per sample, on all of its path points.
+
+    Memory: one sample's ``(points, ...)`` block of derivatives, for
+    Hessians ``(points, 2p, 2p)``, is alive at a time; it is released before
+    the next sample's derivative is taken.
     """
     cfg = cfg or AttributionConfig()
     cfg.validate()
@@ -116,6 +120,7 @@ def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfi
             if not np.all(np.isfinite(values)):
                 raise FloatingPointError(f"non-finite {what} for sample {k}")
             total += weight(dx) * values.mean(axis=0)
+            del values
     return total / baselines.shape[0]
 
 

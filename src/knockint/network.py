@@ -179,18 +179,26 @@ def pull_back(net: CoupledNetwork, G: np.ndarray, axes) -> np.ndarray:
     product over all axes, so a symmetric ``G`` pulls back to a symmetric
     result. Without coupling the filter outputs are the inputs and ``G`` is
     returned unchanged.
+
+    Memory: the result is the one new array. ``G`` is viewed with a length-1
+    axis before each pulled axis and multiplied once by the ``(2, p)`` scale,
+    so no gathered copy of ``G`` is made.
     """
     if not net.coupling:
         return G
-    zbar = np.concatenate([net.z, net.z_tilde])
-    idx = np.tile(np.arange(net.p), 2)
+    zbar = np.concatenate([net.z, net.z_tilde]).reshape(2, net.p)
+    pulled = [axis % G.ndim for axis in axes]
+    split, joined = [], []
+    for axis, size in enumerate(G.shape):
+        split += [1, size] if axis in pulled else [size]
+        joined.append(2 * size if axis in pulled else size)
     scale = 1.0
-    for axis in axes:
-        shape = [1] * G.ndim
-        shape[axis] = -1
+    for axis in pulled:
+        shape = [1] * len(split)
+        at = axis + sum(a < axis for a in pulled)   # where ``axis`` splits in two
+        shape[at:at + 2] = zbar.shape
         scale = scale * zbar.reshape(shape)
-        G = np.take(G, idx, axis=axis)
-    return scale * G
+    return (scale * G.reshape(split)).reshape(joined)
 
 
 def _forward_pass(net: CoupledNetwork, X: np.ndarray):
@@ -204,7 +212,7 @@ def _forward_pass(net: CoupledNetwork, X: np.ndarray):
         a = inputs[l] @ net.w[l] + net.b[l]
         neg = np.minimum(a, 0.0)
         pre.append(a)
-        inputs.append(np.where(a > 0, a, np.expm1(neg)))
+        inputs.append(np.maximum(a, np.expm1(neg)))  # expm1(a) >= a for a <= 0
         elu_prime.append(np.exp(neg))  # exp(0) is exactly 1, so no mask is needed
     out = (inputs[3] @ net.w[3] + net.b[3])[..., 0]
     return inputs, pre, elu_prime, out
@@ -246,26 +254,36 @@ def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     is pushed through the forward pass, then through the adjoint pass. The
     ``d0 x d0`` result is symmetrized, so H == H.T holds exactly, and both
     axes are pulled back to the augmented inputs.
+
+    Memory: apart from the pre-activation tangents kept for the adjoint pass,
+    each freed as that pass uses it, at most two ``(n, d0, width)`` tangent
+    blocks are alive at a time. The tangents are freed before the pull-back,
+    which holds the ``(n, d0, d0)`` block and its ``(n, 2p, 2p)`` result.
     """
     X_aug = _checked_input(net, X_aug)
     net.check_finite()
     inputs, pre, elu_prime, _ = _forward_pass(net, X_aug)
 
-    th = np.eye(inputs[0].shape[-1])   # tangents of h0, one row per direction
-    tpre = []
-    for l in range(3):
-        tpre.append(th @ net.w[l])
-        th = elu_prime[l][:, None, :] * tpre[l]
+    # Tangents of the pre-activations, one row per filter-output direction.
+    tpre = [np.eye(inputs[0].shape[-1]) @ net.w[0]]
+    for l in (1, 2):
+        tpre.append((elu_prime[l - 1][:, None, :] * tpre[l - 1]) @ net.w[l])
 
     g, tg = net.w[3][:, 0], 0.0        # gradient w.r.t. h3 and its tangents
     for l in (2, 1, 0):
         # ELU'' with the left-limit convention at the kink: ELU' for a <= 0, else 0.
         elu_second = np.where(pre[l] > 0, 0.0, elu_prime[l])
         ga = g * elu_prime[l]
-        tga = tg * elu_prime[l][:, None, :] + (g * elu_second)[:, None, :] * tpre[l]
+        tga = (g * elu_second)[:, None, :] * tpre.pop()
+        tg *= elu_prime[l][:, None, :]     # the first pass makes the scalar 0 an array
+        tga += tg
         g = ga @ net.w[l].T
         tg = tga @ net.w[l].T
-    return pull_back(net, (tg + np.swapaxes(tg, -1, -2)) / 2.0, (-2, -1))
+        del tga
+    G = tg + np.swapaxes(tg, -1, -2)
+    del tg
+    G /= 2.0
+    return pull_back(net, G, (-2, -1))
 
 
 class _Flat(NamedTuple):

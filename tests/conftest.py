@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,17 @@ def random_network(p=4, hidden=(6, 5, 3), seed=0, task="regression",
         net.z = rng.standard_normal(p)
         net.z_tilde = rng.standard_normal(p)
     return net
+
+
+def peak_mib(fn, *args):
+    """Peak traced memory of ``fn(*args)`` in MiB; numpy reports its
+    allocations to ``tracemalloc``, so this counts every array the call makes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -390,6 +390,14 @@ MALFORMED_INPUTS = {
     "evaluate_selection_not_pairs": ("evaluate --selection {d}/triple.json "
                                      "--scores {d}/scores.csv --manifest {d}/data.manifest.json "
                                      "--out {d}/x.json", "triple.json"),
+    "evaluate_selection_reversed_pair": ("evaluate --selection {d}/reversed.json "
+                                         "--scores {d}/scores.csv "
+                                         "--manifest {d}/data.manifest.json --out {d}/x.json",
+                                         "reversed.json"),
+    "evaluate_selection_pair_beyond_2p": ("evaluate --selection {d}/beyond.json "
+                                          "--scores {d}/scores.csv "
+                                          "--manifest {d}/data.manifest.json --out {d}/x.json",
+                                          "beyond.json"),
     "run_config_list": ("run --config {d}/list.json", "list.json"),
     "run_config_unknown_train_field": ("run --config {d}/train_foo.json", "train.foo"),
     "run_config_wrong_type": ("run --config {d}/n_abc.json", "field n:"),
@@ -456,6 +464,8 @@ def malformed_dir(tmp_path_factory):
     (d / "list.json").write_text("[1]")
     (d / "empty.json").write_text("{}")
     (d / "triple.json").write_text('{"selected": [[0, 1, 2]]}')
+    (d / "reversed.json").write_text('{"selected": [[1, 0]]}')
+    (d / "beyond.json").write_text('{"selected": [[0, 1], [1, 2]]}')  # scores.csv is 2 wide
     (d / "train_foo.json").write_text('{"train": {"foo": 1}}')
     (d / "n_abc.json").write_text('{"n": "abc"}')
     (d / "task_poisson_cfg.json").write_text(json.dumps(

@@ -15,9 +15,10 @@ from knockint.importance import (AttributionConfig, ImportanceScores, calibrate,
                                  instance_based_2d, model_based_1d,
                                  model_based_2d, read_scores_csv,
                                  write_scores_csv)
-from knockint.network import CoupledNetwork, TrainConfig, init_network, raw_output, train
+from knockint.network import (CoupledNetwork, TrainConfig, batch_input_hessian, init_network,
+                              raw_output, train)
 
-from conftest import random_network
+from conftest import peak_mib, random_network
 
 
 def _hand_net(z, z_tilde, w0, w1, w2, w3, hidden=None):
@@ -191,6 +192,31 @@ def test_instance_severed_knockoffs():
     s2d = instance_based_2d(net, X, cfg)
     np.testing.assert_array_equal(s1d[2:], np.zeros(2))
     np.testing.assert_array_equal(s2d[2:, :], np.zeros((2, 4)))
+
+
+def test_instance_2d_peak_memory():
+    # One sample's 1,024 path-point Hessians (28 MiB) are alive at a time.
+    net = random_network(p=30, hidden=(64, 32, 16), seed=1, scale=0.3)
+    X = np.random.default_rng(1).standard_normal((8, 60))
+    assert peak_mib(instance_based_2d, net, X, AttributionConfig(sample_cap=2)) <= 48.0
+
+
+def test_instance_2d_takes_one_hessian_call_per_sample_and_baseline(monkeypatch):
+    # The benchmark traces Hessians through this binding, one call per sample.
+    import knockint.importance as importance_mod
+    calls = []
+
+    def counted(net, points):
+        calls.append(points.shape)
+        return batch_input_hessian(net, points)
+
+    monkeypatch.setattr(importance_mod, "batch_input_hessian", counted)
+    net = random_network(p=2, seed=4)
+    X = np.random.default_rng(4).uniform(size=(5, 4))
+    cfg = AttributionConfig(alpha_steps=3, beta_steps=2, sample_cap=3,
+                            baselines=[np.zeros(4), np.full(4, 0.5)])
+    instance_based_2d(net, X, cfg)
+    assert calls == [(6, 4)] * 6
 
 
 def test_attribution_config_validation():

@@ -5,16 +5,18 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
                                  TrainingDivergedError, ValidationError)
 from knockint.network import (CoupledNetwork, TrainConfig, _flatten,
                               _loss_and_param_grads, _sigmoid, batch_input_gradient,
                               batch_input_hessian, init_network, load_network,
-                              predict, raw_output, save_network, train)
+                              predict, pull_back, raw_output, save_network, train)
 from knockint.table import save_npz
 
-from conftest import random_network
+from conftest import peak_mib, random_network
 
 
 # -------------------------------------------- reference forward pass, plainly
@@ -315,6 +317,48 @@ def test_hessian_matches_reference(coupling, p, hidden, n):
             assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
         else:
             assert np.array_equal(H, ref)
+
+
+def test_hessian_peak_memory():
+    # One sample's 32 x 32 path points at the protocol's sizes. The result is
+    # 28 MiB; the tangent pass and the pull-back may add at most 20 MiB more.
+    net = random_network(p=30, hidden=(64, 32, 16), seed=0, scale=0.3)
+    X = np.random.default_rng(0).standard_normal((1024, 60))
+    assert peak_mib(batch_input_hessian, net, X) <= 48.0
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+@settings(max_examples=300, deadline=None)
+def test_elu_as_maximum_is_bit_equal_to_where(values):
+    # _forward_pass computes ELU as maximum(a, expm1(min(a, 0))): expm1(a) >= a
+    # for a <= 0, so it equals the masked form bit for bit.
+    a = np.array(values + [0.0, -0.0, 5e-324, -5e-324, -745.0, np.inf, -np.inf, np.nan])
+    neg = np.minimum(a, 0.0)
+    masked = np.where(a > 0, a, np.expm1(neg))
+    assert np.array_equal(np.maximum(a, np.expm1(neg)).view(np.int64), masked.view(np.int64))
+
+
+@pytest.mark.parametrize("axes", [(0,), (-1,), (-2, -1)], ids=["first", "last", "last_two"])
+def test_pull_back_bit_equal_to_take_formula(axes):
+    # The coupling layer's transpose as a gather per axis, then one product
+    # with the scale zbar_a * zbar_b * ... built in the same order.
+    p = 5
+    net = random_network(p=p, seed=3)
+    G = np.random.default_rng(3).standard_normal((p, 3, p, p))
+    zbar = np.concatenate([net.z, net.z_tilde])
+    idx = np.tile(np.arange(p), 2)
+    expected, scale = G, 1.0
+    for axis in axes:
+        shape = [1] * G.ndim
+        shape[axis] = -1
+        scale = scale * zbar.reshape(shape)
+        expected = np.take(expected, idx, axis=axis)
+    expected = scale * expected
+    out = pull_back(net, G, axes)
+    assert out.shape == expected.shape
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    dense = random_network(p=p, seed=3, coupling=False)
+    assert pull_back(dense, G, axes) is G
 
 
 # ---------------------------------------------------------------- training
