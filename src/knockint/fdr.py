@@ -166,12 +166,12 @@ def feature_threshold(W: np.ndarray, q: float) -> SelectionResult:
 
 def write_selection_csv(path, gamma, result: SelectionResult):
     """Per-pair export by descending score: 1-based indices, class, score, selected flag."""
-    selected = set(result.selected)
     g = gamma[np.lexsort((gamma["j"], gamma["i"], -gamma["score"]))]
+    width = int(g["j"].max()) + 1 if g.size else 0  # pair (i, j) has key i * width + j
+    chosen = np.array([i * width + j for i, j in result.selected], dtype=np.intp)
     write_table(path, ["i", "j", "class", "score", "selected"],
-                ([i + 1, j + 1, CLASSES[k], s, int((i, j) in selected)]
-                 for i, j, s, k in zip(g["i"].tolist(), g["j"].tolist(),
-                                       g["score"].tolist(), g["n_ko"].tolist())))
+                [g["i"] + 1, g["j"] + 1, np.array(CLASSES)[g["n_ko"]], g["score"],
+                 np.isin(g["i"] * width + g["j"], chosen).astype(int)])
 
 
 def write_selection_json(path, result: SelectionResult):

@@ -358,8 +358,8 @@ def _write_report(outdir: Path, report: dict):
                                for m in ("auroc", "fdp", "power")]
     write_table(outdir / "summary.csv",
                 ["function", "method", "calibration", "coupling", "q", "repetition",
-                 "auroc", "fdp", "power", "n_selected", "threshold"], summary)
+                 "auroc", "fdp", "power", "n_selected", "threshold"], list(zip(*summary)))
     # Plot-ready aggregates (bar data per metric, mirroring the panel layout).
     write_table(outdir / "aggregate.csv",
                 ["function", "method", "calibration", "coupling",
-                 "metric", "mean", "ci_low", "ci_high"], aggregates)
+                 "metric", "mean", "ci_low", "ci_high"], list(zip(*aggregates)))

@@ -191,14 +191,16 @@ def write_scores_csv(path, scores: ImportanceScores):
     """
     i, j, n_ko = labelled_pairs(scores.s1d.shape[0] // 2)
     write_table(path, ["i", "j", "class", "raw", "calibrated"],
-                zip((i + 1).tolist(), (j + 1).tolist(), np.array(CLASSES)[n_ko].tolist(),
-                    scores.s2d[i, j].tolist(), scores.calibrated[i, j].tolist()))
+                [i + 1, j + 1, np.array(CLASSES)[n_ko], scores.s2d[i, j],
+                 scores.calibrated[i, j]])
 
 
 def read_scores_csv(path) -> ImportanceScores:
     """Rebuild score matrices from the long-format CSV (s1d is not stored).
 
     Pairs without a row, such as a feature with its own knockoff, read as 0.
+    Each pair has at most one row, with 1 <= i < j, and the largest index is
+    the even width 2p.
     """
     _, data = read_table(path, ["i", "j", "raw", "calibrated"])
     ij = data[:, :2]
@@ -206,6 +208,19 @@ def read_scores_csv(path) -> ImportanceScores:
         raise ValidationError(f"{path}: pair indices must be positive integers")
     i, j = ij.T.astype(np.intp) - 1
     two_p = int(ij.max())
+    reversed_ = np.flatnonzero(i >= j)
+    if reversed_.size:
+        k = reversed_[0]
+        raise ValidationError(f"{path}: pair ({i[k] + 1}, {j[k] + 1}) in row {k + 2} "
+                              "does not have i < j")
+    if two_p % 2:
+        raise ValidationError(f"{path}: largest index {two_p} is odd, "
+                              "not the width 2p of an augmented matrix")
+    _, first = np.unique(i * two_p + j, return_index=True)
+    if first.size < i.size:
+        k = np.setdiff1d(np.arange(i.size), first)[0]  # the first row that repeats a pair
+        raise ValidationError(f"{path}: pair ({i[k] + 1}, {j[k] + 1}) in row {k + 2} "
+                              "repeats an earlier row")
     s2d = np.zeros((two_p, two_p))
     cal = np.zeros((two_p, two_p))
     s2d[i, j] = s2d[j, i] = data[:, 2]

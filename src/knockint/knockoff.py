@@ -21,7 +21,7 @@ from scipy import linalg
 
 from .exceptions import (ConfigurationError, ContractViolation, DegenerateFeatureError,
                          ValidationError)
-from .table import float_rows, load_npz, read_table, save_npz, write_table
+from .table import load_npz, read_table, save_npz, write_table
 
 MODEL_VERSION = 1
 
@@ -160,7 +160,7 @@ def write_augmented_csv(path, X: np.ndarray, X_ko: np.ndarray):
         raise ContractViolation("X and X_ko shapes differ")
     p = X.shape[1]
     write_table(path, [f"x{j+1}" for j in range(p)] + [f"x{j+1}_ko" for j in range(p)],
-                float_rows(X, X_ko))
+                [*X.T, *X_ko.T])
 
 
 def read_augmented_csv(path) -> np.ndarray:

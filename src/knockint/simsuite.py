@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, GenerationError, ValidationError
 from .network import TASKS
-from .table import float_rows, index_pairs, read_json, read_table, write_json, write_table
+from .table import index_pairs, read_json, read_table, write_json, write_table
 
 
 def _f1(x):
@@ -232,7 +232,7 @@ def write_dataset_csv(path, dataset: Dataset, manifest_path=None,
     """CSV with header x1..xp, y; optional sidecar JSON manifest."""
     p = dataset.X.shape[1]
     write_table(path, [f"x{j+1}" for j in range(p)] + ["y"],
-                float_rows(dataset.X, dataset.y))
+                [*dataset.X.T, dataset.y])
     if manifest_path is not None:
         manifest = {
             "task": dataset.task,

@@ -1,11 +1,22 @@
 """The file formats every stage writes and reads: CSV tables, JSON and ``.npz``.
 
-A table is a header line and rows of comma-separated cells. A cell is
-written with ``str``, which for a Python float is the shortest string that
-reads back to the same float, and lines end in ``\\r\\n``: the bytes
-``csv.writer`` gives for the same cells. No cell the pipeline writes needs
-quoting. Matrices are written a block of rows at a time, so no whole-matrix
-list of Python floats is ever built.
+A table is a header line and rows of comma-separated cells, each line
+ending in ``\\r\\n``. ``write_table`` takes the table as columns (equal-length
+1-D arrays or lists) and writes a block of ``_BLOCK`` rows at a time: each
+column's slice becomes Python values with ``.tolist()`` and each value a
+cell with ``str``, which for a Python float is the shortest string that
+reads back to the same float. These are the bytes ``csv.writer`` gives for
+the same rows; no cell the pipeline writes needs quoting.
+
+``read_table`` checks every row's cell count by counting its commas, then
+reads the float columns in one parse by numpy's C reader (``np.loadtxt``).
+A cell read is a finite decimal or exponent number as ``float()`` spells it
+(``1``, ``-0.5``, ``.5``, ``+3``, ``1E5``), with optional spaces around it
+and optionally in double quotes, and reads to the bits ``float()`` gives;
+unlike ``float()``, the reader takes only ASCII digits and rejects ``1_0``.
+A row has exactly as many cells as the header, a blank line being a row of
+none, and no cell holds a comma.
+
 JSON keys are sorted; an ``.npz`` file ends in ``meta``, a JSON object with
 the format ``version``. A reader raises ``ValidationError`` naming a file
 that is not what it claims to be.
@@ -16,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import zipfile
+from itertools import repeat
 
 import numpy as np
 
@@ -24,53 +36,68 @@ from .exceptions import ValidationError
 _BLOCK = 256
 
 
-def float_rows(*arrays):
-    """Rows of the column-stacked float arrays, as lists of Python floats."""
-    for start in range(0, len(arrays[0]), _BLOCK):
-        yield from np.column_stack([a[start:start + _BLOCK] for a in arrays]).tolist()
+def _cells(column, start):
+    part = column[start:start + _BLOCK]
+    return map(str, part.tolist() if isinstance(part, np.ndarray) else part)
 
 
-def write_table(path, header, rows):
-    """Write a header and an iterable of rows; ``None`` cells must be passed as ''."""
+def write_table(path, header, columns):
+    """Write a header and the equal-length ``columns``; ``None`` cells must be passed as ''."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+        for start in range(0, len(columns[0]) if columns else 0, _BLOCK):
+            rows = map(",".join, zip(*(_cells(c, start) for c in columns)))
+            fh.write("\r\n".join(rows) + "\r\n")
 
 
 def read_table(path, columns=None) -> tuple[list, np.ndarray]:
     """Header and the finite float matrix of ``columns`` (default: all of them).
 
-    Raises ``ValidationError`` naming the first bad row (counting the header
-    as row 1) for a ragged, non-numeric, missing or non-finite cell, and for
-    a file with no header or no rows.
+    Raises ``ValidationError`` for a file with no header or no rows, and
+    otherwise names a bad row (counting the header as row 1): the first
+    ragged row, else the first with a non-numeric or missing cell (with
+    numpy's message for that one line), else the first non-finite one.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+        with open(path) as fh:
+            header = next(csv.reader([fh.readline()]), None)
             if not header:
                 raise ValidationError(f"{path}: empty file")
             missing = [c for c in columns or () if c not in header]
             if missing:
                 raise ValidationError(f"{path}: columns {missing} not found; "
                                       f"available columns: {header}")
-            keep = [header.index(c) for c in columns] if columns else range(len(header))
-            rows = []
-            for rownum, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise ValidationError(f"{path}: row {rownum} has {len(row)} cells, "
-                                          f"expected {len(header)}")
-                try:
-                    rows.append([float(row[k]) for k in keep])
-                except ValueError as exc:
-                    raise ValidationError(f"{path}: non-numeric or missing cell in row "
-                                          f"{rownum} (ValueError: {exc})") from exc
+            lines = fh.read().split("\n")
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: not a CSV text file "
                               f"({type(exc).__name__}: {exc})") from exc
-    if not rows:
+    if lines[-1] == "":  # the newline that ends the last row
+        lines.pop()
+    if not lines:
         raise ValidationError(f"{path}: no data rows")
-    data = np.array(rows)
+    cells = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines)) + 1
+    if "" in lines:  # a blank line is a row of no cells, as csv.reader reads it
+        cells[[k for k, line in enumerate(lines) if not line]] = 0
+    ragged = np.flatnonzero(cells != len(header))
+    if ragged.size:
+        k = ragged[0]
+        raise ValidationError(f"{path}: row {k + 2} has {cells[k]} cells, "
+                              f"expected {len(header)}")
+    parse = dict(delimiter=",", ndmin=2, comments=None, quotechar='"',
+                 usecols=[header.index(c) for c in columns] if columns else None)
+    try:
+        data = np.loadtxt(lines, **parse)
+    except ValueError:
+        for rownum, line in enumerate(lines, start=2):  # find the first bad row
+            try:
+                np.loadtxt([line], **parse)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: non-numeric or missing cell in row "
+                                      f"{rownum} (ValueError: {exc})") from exc
+        data = None  # every row parses alone
+    if data is None or len(data) < len(lines):  # a quote left open joins a row to the next
+        k = next(k for k, line in enumerate(lines) if line.count('"') % 2)
+        raise ValidationError(f"{path}: row {k + 2} opens a quote it does not close")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValidationError(f"{path}: non-finite cell in row {bad[0] + 2}")

@@ -379,6 +379,12 @@ MALFORMED_INPUTS = {
                                  "--out {d}/x.csv", "model.npz"),
     "select_scores_binary": ("select --scores {d}/model.npz --json-out {d}/x.json",
                              "model.npz"),
+    "select_scores_odd_width": ("select --scores {d}/odd_scores.csv --json-out {d}/x.json",
+                                "odd_scores.csv"),
+    "select_scores_repeated_pair": ("select --scores {d}/repeated_scores.csv "
+                                    "--json-out {d}/x.json", "repeated_scores.csv"),
+    "select_scores_reversed_pair": ("select --scores {d}/reversed_scores.csv "
+                                    "--json-out {d}/x.json", "reversed_scores.csv"),
     "train_augmented_npz": ("train --data {d}/data.csv --augmented {d}/model.npz "
                             "--net-out {d}/x.npz", "model.npz"),
     "evaluate_selection_list": ("evaluate --selection {d}/list.json --scores {d}/scores.csv "
@@ -459,6 +465,12 @@ def malformed_dir(tmp_path_factory):
     write_augmented_csv(d / "aug_p12.csv", X, X)
     (d / "pair.json").write_text('{"selected": [[0, 1]]}')
     (d / "scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n")
+    (d / "odd_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
+                                      "1,3,OO,0.5,0.5\n")  # largest index 3
+    (d / "repeated_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
+                                           "1,2,OO,0.7,0.7\n")
+    (d / "reversed_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
+                                           "2,1,OO,0.7,0.7\n")
     (d / "text.txt").write_text("not an array\n")
     np.savez(d / "nometa.npz", w0=np.zeros(2))
     (d / "list.json").write_text("[1]")

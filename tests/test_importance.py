@@ -336,6 +336,18 @@ def test_scores_csv_rows_match_gamma(tmp_path):
     assert sorted(rows) == sorted(zip(gamma["i"].tolist(), gamma["j"].tolist(), klass))
 
 
+def test_read_scores_csv_peak_memory(tmp_path):
+    # p = 120: 28,560 rows. The file's text and its lines are not alive with
+    # a second copy of the rows.
+    p = 120
+    S = np.random.default_rng(2).exponential(size=(2 * p, 2 * p))
+    S = S + S.T
+    path = tmp_path / "scores.csv"
+    write_scores_csv(path, ImportanceScores(s1d=np.ones(2 * p), s2d=S, calibrated=S,
+                                            method="model_based"))
+    assert peak_mib(read_scores_csv, path) <= 6.0
+
+
 def test_read_scores_csv_header_only(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("i,j,class,raw,calibrated\n")

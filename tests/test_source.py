@@ -104,8 +104,8 @@ def test_only_simsuite_spells_manifest_keys(path):
     assert manifest_key_spellings(path.read_text()) == []
 
 
-def scipy_imports(source: str) -> list:
-    """Lines that import ``scipy`` or one of its submodules."""
+def module_imports(source: str, module: str) -> list:
+    """Lines that import ``module`` or one of its submodules."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -114,7 +114,7 @@ def scipy_imports(source: str) -> list:
             modules = [node.module]
         else:
             continue
-        if any(module.split(".")[0] == "scipy" for module in modules):
+        if any(name.split(".")[0] == module for name in modules):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -123,7 +123,7 @@ def test_scipy_imports_detected():
     source = ("import scipy\nfrom scipy import linalg\nimport scipyx\n"
               "from scipy.stats import rankdata\nimport numpy, scipy.linalg as sl\n"
               "from .scipy import x\n")
-    assert scipy_imports(source) == [1, 2, 4, 5]
+    assert module_imports(source, "scipy") == [1, 2, 4, 5]
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(Path(knockint.__file__).parent.glob("*.py"))
@@ -131,7 +131,34 @@ def test_scipy_imports_detected():
 def test_only_knockoff_imports_scipy(path):
     # knockoff.py's scipy.linalg is the package's one use of scipy; the rest
     # is numpy, so importing knockint loads no more of scipy than that.
-    assert scipy_imports(path.read_text()) == []
+    assert module_imports(path.read_text(), "scipy") == []
+
+
+TEXT_TABLE_CALLS = {("np", "loadtxt"), ("np", "savetxt"), ("np", "genfromtxt")}
+
+
+def text_table_code(source: str) -> list:
+    """Lines that import ``csv`` or call ``np.loadtxt``, ``np.savetxt`` or ``np.genfromtxt``."""
+    return sorted(module_imports(source, "csv") + [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) in TEXT_TABLE_CALLS])
+
+
+def test_text_table_code_detected():
+    source = ("import csv\nfrom csv import reader\nimport csvx\nnp.loadtxt(p)\n"
+              "np.savetxt(p, x)\nnp.genfromtxt(p)\nnp.load(p)\nfrom .csv import x\n"
+              "import os, csv as c\nnp.fromfile(p)\n")
+    assert text_table_code(source) == [1, 2, 4, 5, 6, 9]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "table.py"],
+                         ids=lambda p: p.name)
+def test_only_table_parses_and_formats_csv(path):
+    # The table format, its cell grammar and its bulk reader and writer are
+    # table.py's alone.
+    assert text_table_code(path.read_text()) == []
 
 
 def test_import_loads_no_scipy_stats():
