@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, ContractViolation, ValidationError
 from .fdr import CLASSES, labelled_pairs
-from .network import CoupledNetwork, batch_input_gradient, batch_input_hessian, pull_back
+from .network import CoupledNetwork, batch_input_gradient, mean_input_hessian, pull_back
 from .table import read_table, write_table
 
 METHODS = ("model_based", "instance_based")
@@ -94,16 +94,17 @@ def _midpoints(steps: int) -> np.ndarray:
 
 def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfig | None,
                    grid, derivative, weight, what: str) -> np.ndarray:
-    """Sum over samples of ``weight(dx)`` times the mean of ``derivative`` on
-    the path points ``x' + t dx``, ``t`` in ``grid(cfg)``, averaged over the
+    """Sum over samples of ``weight(dx)`` times the mean derivative on the
+    path points ``x' + t dx``, ``t`` in ``grid(cfg)``, averaged over the
     baselines ``x'``.
 
     Samples are the first ``sample_cap`` rows of ``X_aug``; ``dx = x - x'``.
-    ``derivative`` is called once per sample, on all of its path points.
+    ``derivative(net, points)`` is called once per sample, on all of its path
+    points, and returns their mean; a non-finite point makes it non-finite.
 
-    Memory: one sample's ``(points, ...)`` block of derivatives, for
-    Hessians ``(points, 2p, 2p)``, is alive at a time; it is released before
-    the next sample's derivative is taken.
+    Memory: one sample's derivative call is the only large allocation alive.
+    For Hessians, ``mean_input_hessian`` builds no per-point ``(2p, 2p)``
+    block; its largest arrays are ``(points, hidden_sizes[1], d0)``.
     """
     cfg = cfg or AttributionConfig()
     cfg.validate()
@@ -116,11 +117,10 @@ def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfi
     for base in baselines:
         for k, x in enumerate(X_aug[:cfg.sample_cap]):
             dx = x - base
-            values = derivative(net, base[None, :] + t[:, None] * dx[None, :])
-            if not np.all(np.isfinite(values)):
+            mean = derivative(net, base[None, :] + t[:, None] * dx[None, :])
+            if not np.all(np.isfinite(mean)):
                 raise FloatingPointError(f"non-finite {what} for sample {k}")
-            total += weight(dx) * values.mean(axis=0)
-            del values
+            total += weight(dx) * mean
     return total / baselines.shape[0]
 
 
@@ -137,7 +137,7 @@ def instance_based_2d(net: CoupledNetwork, X_aug: np.ndarray,
     total = _path_integral(
         net, X_aug, cfg,
         lambda c: np.outer(_midpoints(c.alpha_steps), _midpoints(c.beta_steps)).ravel(),
-        batch_input_hessian, lambda dx: np.outer(dx, dx), "Hessian")
+        mean_input_hessian, lambda dx: np.outer(dx, dx), "Hessian")
     return (total + total.T) / 2.0
 
 
@@ -149,7 +149,8 @@ def instance_based_1d(net: CoupledNetwork, X_aug: np.ndarray,
     expected gradients, which draws its baselines from the data.
     """
     return _path_integral(net, X_aug, cfg, lambda c: _midpoints(c.alpha_steps),
-                          batch_input_gradient, lambda dx: dx, "gradient")
+                          lambda net, points: batch_input_gradient(net, points).mean(axis=0),
+                          lambda dx: dx, "gradient")
 
 
 def calibrate(s2d: np.ndarray, s1d: np.ndarray, epsilon_floor: float = 1e-12) -> np.ndarray:

@@ -8,13 +8,18 @@ ELU MLP with an affine scalar head (logistic link for binary tasks).
 An ablation variant (``coupling=False``) replaces the coupling layer with a
 plain dense first layer on all ``2p`` inputs.
 
-All differentiation is done analytically: reverse mode for input gradients,
-forward-over-reverse for input Hessians. Both are taken in filter space, with
-respect to the ``d0`` filter outputs ``h0`` (``p`` with coupling, ``2p``
-without), so the Hessian pushes ``d0`` tangents. The coupling layer is the
-linear map ``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its
-transpose, which carries a derivative from filter space to the ``2p``
-augmented inputs. No other module reads ``z`` or ``z_tilde``.
+All differentiation is done analytically and in filter space, with respect
+to the ``d0`` filter outputs ``h0`` (``p`` with coupling, ``2p`` without).
+Input gradients are reverse mode. Per-row input Hessians
+(``batch_input_hessian``) are forward-over-reverse, pushing ``d0`` tangents
+per row. The mean Hessian over rows (``mean_input_hessian``) uses the
+layerwise identity ``H = sum_l J_l^T diag(c_l) J_l``, with ``J_l`` the
+Jacobian of the pre-activation ``a_l`` in ``h0`` and
+``c_l = (df/dh_{l+1}) * ELU''(a_l)``; each term's sum over rows is one matrix
+product, so no per-row Hessian is built. The coupling layer is the linear map
+``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its transpose, which
+carries a derivative from filter space to the ``2p`` augmented inputs. No
+other module reads ``z`` or ``z_tilde``.
 
 ``train`` keeps every parameter in one float64 buffer (``w0..w3``, then
 ``z, z_tilde``, then ``b0..b3``) and rebinds the network's arrays as views of
@@ -218,6 +223,11 @@ def _forward_pass(net: CoupledNetwork, X: np.ndarray):
     return inputs, pre, elu_prime, out
 
 
+def _elu_second(pre: np.ndarray, elu_prime: np.ndarray) -> np.ndarray:
+    """ELU'' with the left-limit convention at the kink: ELU' for a <= 0, else 0."""
+    return np.where(pre > 0, 0.0, elu_prime)
+
+
 def predict(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     """Batch predictions on the response scale.
 
@@ -271,10 +281,8 @@ def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
 
     g, tg = net.w[3][:, 0], 0.0        # gradient w.r.t. h3 and its tangents
     for l in (2, 1, 0):
-        # ELU'' with the left-limit convention at the kink: ELU' for a <= 0, else 0.
-        elu_second = np.where(pre[l] > 0, 0.0, elu_prime[l])
         ga = g * elu_prime[l]
-        tga = (g * elu_second)[:, None, :] * tpre.pop()
+        tga = (g * _elu_second(pre[l], elu_prime[l]))[:, None, :] * tpre.pop()
         tg *= elu_prime[l][:, None, :]     # the first pass makes the scalar 0 an array
         tga += tg
         g = ga @ net.w[l].T
@@ -284,6 +292,54 @@ def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     del tg
     G /= 2.0
     return pull_back(net, G, (-2, -1))
+
+
+def _gram_over_rows(J: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``sum_k J[k]^T diag(c[k]) J[k]`` as one product on ``J`` flattened over
+    (row, unit)."""
+    flat = J.reshape(-1, J.shape[-1])
+    return (flat * c.reshape(-1, 1)).T @ flat
+
+
+def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
+    """Mean of the input Hessians over the rows of a batch, shape (2p, 2p).
+
+    Equals ``batch_input_hessian(net, X_aug).mean(axis=0)`` up to rounding.
+    In filter space, ``H = sum_l J_l^T diag(c_l) J_l`` row by row, where
+    ``J_l = da_l/dh0`` and ``c_l = (df/dh_{l+1}) * ELU''(a_l)`` with the
+    kink rule of ``batch_input_hessian``. ``J_0 = W0^T`` for every row, so
+    its term is ``W0 diag(sum_k c_0) W0^T``. ``J_1 = W1^T diag(ELU'(a_0)) W0^T``
+    is one product for all rows, ``ELU'(a_0) @ P`` with
+    ``P[m, (j, i)] = W1[m, j] W0[i, m]``, and ``J_2 = W2^T diag(ELU'(a_1)) J_1``.
+    Each term's sum over rows is one product on ``J_l`` flattened over
+    (row, unit). The ``d0 x d0`` mean is symmetrized, so H == H.T holds
+    exactly, and pulled back once.
+
+    Memory: ``J_1`` and its ``c_1``-scaled copy, each ``(n, hidden_sizes[1], d0)``,
+    are the largest arrays; no ``(n, d0, d0)`` block is made.
+    """
+    X_aug = _checked_input(net, X_aug)
+    net.check_finite()
+    n = X_aug.shape[0]
+    if n < 1:
+        raise ContractViolation("mean_input_hessian needs at least one row")
+    _, pre, elu_prime, _ = _forward_pass(net, X_aug)
+
+    c, g = [None] * 3, net.w[3][:, 0]      # g: gradient w.r.t. h_{l+1}
+    for l in (2, 1, 0):
+        c[l] = g * _elu_second(pre[l], elu_prime[l])
+        if l:
+            g = (g * elu_prime[l]) @ net.w[l].T
+    w0, w1, w2 = net.w[:3]
+    d0 = w0.shape[0]
+    H = (w0 * c[0].sum(axis=0)) @ w0.T
+    P = (w1[:, :, None] * w0.T[:, None, :]).reshape(w1.shape[0], -1)
+    J = (elu_prime[0] @ P).reshape(n, w1.shape[1], d0)       # J_1
+    H += _gram_over_rows(J, c[1])
+    J = (w2.T * elu_prime[1][:, None, :]) @ J                 # J_2
+    H += _gram_over_rows(J, c[2])
+    H /= n
+    return pull_back(net, (H + H.T) / 2.0, (-2, -1))
 
 
 class _Flat(NamedTuple):

@@ -15,7 +15,7 @@ from knockint.importance import (AttributionConfig, ImportanceScores, calibrate,
                                  instance_based_2d, model_based_1d,
                                  model_based_2d, read_scores_csv,
                                  write_scores_csv)
-from knockint.network import (CoupledNetwork, TrainConfig, batch_input_hessian, init_network,
+from knockint.network import (CoupledNetwork, TrainConfig, init_network, mean_input_hessian,
                               raw_output, train)
 
 from conftest import peak_mib, random_network
@@ -194,23 +194,34 @@ def test_instance_severed_knockoffs():
     np.testing.assert_array_equal(s2d[2:, :], np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("score", [instance_based_1d, instance_based_2d], ids=["1d", "2d"])
+def test_instance_non_finite_sample_raises(score):
+    net = random_network(p=2, seed=3)
+    X = np.random.default_rng(3).uniform(size=(3, 4))
+    X[1, 2] = np.nan
+    cfg = AttributionConfig(alpha_steps=3, beta_steps=3, baselines=[np.zeros(4)])
+    with pytest.raises(FloatingPointError, match="sample 1"):
+        score(net, X, cfg)
+
+
 def test_instance_2d_peak_memory():
-    # One sample's 1,024 path-point Hessians (28 MiB) are alive at a time.
+    # One sample's mean Hessian over its 1,024 path points is taken at a
+    # time, and no per-point Hessian is built (see the network's peak test).
     net = random_network(p=30, hidden=(64, 32, 16), seed=1, scale=0.3)
     X = np.random.default_rng(1).standard_normal((8, 60))
-    assert peak_mib(instance_based_2d, net, X, AttributionConfig(sample_cap=2)) <= 48.0
+    assert peak_mib(instance_based_2d, net, X, AttributionConfig(sample_cap=2)) <= 24.0
 
 
 def test_instance_2d_takes_one_hessian_call_per_sample_and_baseline(monkeypatch):
-    # The benchmark traces Hessians through this binding, one call per sample.
+    # One mean-Hessian call per sample and baseline, on all its path points.
     import knockint.importance as importance_mod
     calls = []
 
     def counted(net, points):
         calls.append(points.shape)
-        return batch_input_hessian(net, points)
+        return mean_input_hessian(net, points)
 
-    monkeypatch.setattr(importance_mod, "batch_input_hessian", counted)
+    monkeypatch.setattr(importance_mod, "mean_input_hessian", counted)
     net = random_network(p=2, seed=4)
     X = np.random.default_rng(4).uniform(size=(5, 4))
     cfg = AttributionConfig(alpha_steps=3, beta_steps=2, sample_cap=3,

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
                                  TrainingDivergedError, ValidationError)
-from knockint.network import (CoupledNetwork, TrainConfig, _flatten,
+from knockint.network import (CoupledNetwork, TrainConfig, _flatten, _forward_pass,
                               _loss_and_param_grads, _sigmoid, batch_input_gradient,
                               batch_input_hessian, init_network, load_network,
-                              predict, pull_back, raw_output, save_network, train)
+                              mean_input_hessian, predict, pull_back, raw_output,
+                              save_network, train)
 from knockint.table import save_npz
 
 from conftest import peak_mib, random_network
@@ -325,6 +326,79 @@ def test_hessian_peak_memory():
     net = random_network(p=30, hidden=(64, 32, 16), seed=0, scale=0.3)
     X = np.random.default_rng(0).standard_normal((1024, 60))
     assert peak_mib(batch_input_hessian, net, X) <= 48.0
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+@pytest.mark.parametrize("p, hidden, n", [(2, (4, 4, 3), 7), (5, (6, 5, 3), 40),
+                                          (30, (64, 32, 16), 1024)],
+                         ids=["p2", "p5", "p30"])
+def test_mean_hessian_matches_batch_mean(coupling, p, hidden, n):
+    # The layerwise sum reorders the rounding of the per-row Hessians' mean.
+    for seed in range(3):
+        net = random_network(p=p, hidden=hidden, seed=seed, coupling=coupling,
+                             scale=0.7 if p < 30 else 0.3)
+        X = np.random.default_rng(seed).standard_normal((n, 2 * p))
+        H, ref = mean_input_hessian(net, X), batch_input_hessian(net, X).mean(axis=0)
+        assert H.shape == (2 * p, 2 * p)
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mean_hessian_locally_affine_region_is_zero():
+    net = random_network(p=2, seed=4)
+    net.w = [np.abs(w) for w in net.w]
+    net.b = [np.abs(b) + 1.0 for b in net.b]
+    net.z = np.abs(net.z)
+    net.z_tilde = np.abs(net.z_tilde)
+    X = np.abs(np.random.default_rng(0).standard_normal((5, 4)))
+    assert np.array_equal(mean_input_hessian(net, X), np.zeros((4, 4)))
+
+
+def test_mean_hessian_knockoff_severance():
+    net = random_network(p=3, seed=8)
+    net.z_tilde = np.zeros(3)
+    H = mean_input_hessian(net, np.random.default_rng(2).standard_normal((9, 6)))
+    assert np.array_equal(H[3:, :], np.zeros((3, 6)))
+    assert np.array_equal(H[:, 3:], np.zeros((6, 3)))
+    assert np.any(H[:3, :3] != 0.0)
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+def test_mean_hessian_kink_rule_matches_batch(coupling):
+    # With zero biases, a zero row puts every pre-activation exactly at the
+    # kink, where ELU'' takes its left limit 1: the Hessian there is not 0.
+    net = random_network(p=3, seed=5, coupling=coupling)
+    net.b = [np.zeros_like(b) for b in net.b]
+    X = np.random.default_rng(5).standard_normal((4, 6))
+    X[2] = 0.0
+    pre = _forward_pass(net, X)[1]
+    assert all(np.all(a[2] == 0.0) for a in pre)
+    at_kink = batch_input_hessian(net, X[2:3])[0]
+    assert np.any(at_kink != 0.0)
+    for rows in (X[2:3], X):
+        ref = batch_input_hessian(net, rows).mean(axis=0)
+        H = mean_input_hessian(net, rows)
+        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_mean_hessian_non_finite_row_makes_mean_non_finite():
+    net = random_network(p=2, seed=1)
+    X = np.random.default_rng(1).standard_normal((6, 4))
+    X[4, 1] = np.nan
+    assert not np.all(np.isfinite(mean_input_hessian(net, X)))
+
+
+def test_mean_hessian_rejects_empty_batch():
+    with pytest.raises(ContractViolation):
+        mean_input_hessian(random_network(p=2, seed=0), np.zeros((0, 4)))
+
+
+def test_mean_input_hessian_peak_memory():
+    # One sample's 32 x 32 path points at the protocol's sizes. J_1 and its
+    # scaled copy are 7.5 MiB each; no per-point Hessian is built.
+    net = random_network(p=30, hidden=(64, 32, 16), seed=0, scale=0.3)
+    X = np.random.default_rng(0).standard_normal((1024, 60))
+    assert peak_mib(mean_input_hessian, net, X) <= 24.0
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
