@@ -21,7 +21,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, ContractViolation, ValidationError
 from .fdr import CLASSES, labelled_pairs
-from .network import CoupledNetwork, batch_input_gradient, mean_input_hessian, pull_back
+from .network import CoupledNetwork, batch_input_gradient, batch_input_hessian, pull_back
 from .table import read_table, write_table
 
 METHODS = ("model_based", "instance_based")
@@ -137,7 +137,10 @@ def instance_based_2d(net: CoupledNetwork, X_aug: np.ndarray,
     total = _path_integral(
         net, X_aug, cfg,
         lambda c: np.outer(_midpoints(c.alpha_steps), _midpoints(c.beta_steps)).ravel(),
-        mean_input_hessian, lambda dx: np.outer(dx, dx), "Hessian")
+        # The mean Hessian goes through batch_input_hessian, the name that
+        # bench/tracer.py times as the network.hessian layer.
+        lambda net, points: batch_input_hessian(net, points, mean=True),
+        lambda dx: np.outer(dx, dx), "Hessian")
     return (total + total.T) / 2.0
 
 

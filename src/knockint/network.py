@@ -12,11 +12,12 @@ All differentiation is done analytically and in filter space, with respect
 to the ``d0`` filter outputs ``h0`` (``p`` with coupling, ``2p`` without).
 Input gradients are reverse mode. Per-row input Hessians
 (``batch_input_hessian``) are forward-over-reverse, pushing ``d0`` tangents
-per row. The mean Hessian over rows (``mean_input_hessian``) uses the
-layerwise identity ``H = sum_l J_l^T diag(c_l) J_l``, with ``J_l`` the
-Jacobian of the pre-activation ``a_l`` in ``h0`` and
-``c_l = (df/dh_{l+1}) * ELU''(a_l)``; each term's sum over rows is one matrix
-product, so no per-row Hessian is built. The coupling layer is the linear map
+per row. The mean Hessian over rows (``mean_input_hessian``, or
+``batch_input_hessian(..., mean=True)``) uses the layerwise identity
+``H = sum_l J_l^T diag(c_l) J_l``, with ``J_l`` the Jacobian of the
+pre-activation ``a_l`` in ``h0`` and ``c_l = (df/dh_{l+1}) * ELU''(a_l)``;
+each term's sum over rows is one matrix product, so no per-row Hessian is
+built. The coupling layer is the linear map
 ``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its transpose, which
 carries a derivative from filter space to the ``2p`` augmented inputs. No
 other module reads ``z`` or ``z_tilde``.
@@ -257,8 +258,11 @@ def batch_input_gradient(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     return pull_back(net, g, (-1,))
 
 
-def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
-    """Input Hessians for a batch, shape (n, 2p, 2p).
+def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray, *,
+                        mean: bool = False) -> np.ndarray:
+    """Input Hessians for a batch, shape (n, 2p, 2p); with ``mean``, their
+    mean over the rows, shape (2p, 2p), taken by ``mean_input_hessian``
+    without building the per-row Hessians.
 
     Forward-over-reverse in filter space: one unit tangent per filter output
     is pushed through the forward pass, then through the adjoint pass. The
@@ -270,6 +274,8 @@ def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     blocks are alive at a time. The tangents are freed before the pull-back,
     which holds the ``(n, d0, d0)`` block and its ``(n, 2p, 2p)`` result.
     """
+    if mean:
+        return mean_input_hessian(net, X_aug)
     X_aug = _checked_input(net, X_aug)
     net.check_finite()
     inputs, pre, elu_prime, _ = _forward_pass(net, X_aug)
@@ -316,7 +322,8 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     exactly, and pulled back once.
 
     Memory: ``J_1`` and its ``c_1``-scaled copy, each ``(n, hidden_sizes[1], d0)``,
-    are the largest arrays; no ``(n, d0, d0)`` block is made.
+    are the largest arrays; no ``(n, d0, d0)`` block is made. Without
+    coupling ``d0 = 2p``, so they are twice their coupled size.
     """
     X_aug = _checked_input(net, X_aug)
     net.check_finite()

@@ -15,7 +15,7 @@ from knockint.importance import (AttributionConfig, ImportanceScores, calibrate,
                                  instance_based_2d, model_based_1d,
                                  model_based_2d, read_scores_csv,
                                  write_scores_csv)
-from knockint.network import (CoupledNetwork, TrainConfig, init_network, mean_input_hessian,
+from knockint.network import (CoupledNetwork, TrainConfig, batch_input_hessian, init_network,
                               raw_output, train)
 
 from conftest import peak_mib, random_network
@@ -213,21 +213,22 @@ def test_instance_2d_peak_memory():
 
 
 def test_instance_2d_takes_one_hessian_call_per_sample_and_baseline(monkeypatch):
-    # One mean-Hessian call per sample and baseline, on all its path points.
+    # The benchmark traces Hessians through this binding, one call per sample
+    # and baseline, each taking the mean over all of the sample's path points.
     import knockint.importance as importance_mod
     calls = []
 
-    def counted(net, points):
-        calls.append(points.shape)
-        return mean_input_hessian(net, points)
+    def counted(net, points, *, mean=False):
+        calls.append((points.shape, mean))
+        return batch_input_hessian(net, points, mean=mean)
 
-    monkeypatch.setattr(importance_mod, "mean_input_hessian", counted)
+    monkeypatch.setattr(importance_mod, "batch_input_hessian", counted)
     net = random_network(p=2, seed=4)
     X = np.random.default_rng(4).uniform(size=(5, 4))
     cfg = AttributionConfig(alpha_steps=3, beta_steps=2, sample_cap=3,
                             baselines=[np.zeros(4), np.full(4, 0.5)])
     instance_based_2d(net, X, cfg)
-    assert calls == [(6, 4)] * 6
+    assert calls == [((6, 4), True)] * 6
 
 
 def test_attribution_config_validation():

@@ -225,6 +225,7 @@ def test_hessian_locally_affine_region_is_zero():
     x = np.abs(np.random.default_rng(0).standard_normal(4))
     H = _hess1(net, x)
     np.testing.assert_allclose(H, np.zeros((4, 4)), atol=1e-14)
+    assert np.array_equal(mean_input_hessian(net, np.stack([x, x + 1.0])), np.zeros((4, 4)))
 
 
 def test_hessian_matches_finite_difference_of_gradient():
@@ -244,6 +245,7 @@ def test_hessian_matches_finite_difference_of_gradient():
             fd[:, k] = (_grad1(net, x + e) - _grad1(net, x - e)) / (2 * h)
         scale = max(np.max(np.abs(H)), 1.0)
         np.testing.assert_allclose(H, fd, atol=1e-3 * scale)
+        np.testing.assert_allclose(mean_input_hessian(net, x[None]), fd, atol=1e-3 * scale)
         checked += 1
     assert checked >= 10
 
@@ -266,6 +268,10 @@ def test_hessian_knockoff_severance():
     np.testing.assert_array_equal(H1[:3, :3], H2[:3, :3])
     g1, g2 = _grad1(net, x), _grad1(net, x2)
     np.testing.assert_array_equal(g1[:3], g2[:3])
+    M = mean_input_hessian(net, np.stack([x, x2]))
+    assert np.array_equal(M[3:, :], np.zeros((3, 6)))
+    assert np.array_equal(M[:, 3:], np.zeros((6, 3)))
+    assert np.any(M[:3, :3] != 0.0)
 
 
 
@@ -344,25 +350,6 @@ def test_mean_hessian_matches_batch_mean(coupling, p, hidden, n):
         assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_mean_hessian_locally_affine_region_is_zero():
-    net = random_network(p=2, seed=4)
-    net.w = [np.abs(w) for w in net.w]
-    net.b = [np.abs(b) + 1.0 for b in net.b]
-    net.z = np.abs(net.z)
-    net.z_tilde = np.abs(net.z_tilde)
-    X = np.abs(np.random.default_rng(0).standard_normal((5, 4)))
-    assert np.array_equal(mean_input_hessian(net, X), np.zeros((4, 4)))
-
-
-def test_mean_hessian_knockoff_severance():
-    net = random_network(p=3, seed=8)
-    net.z_tilde = np.zeros(3)
-    H = mean_input_hessian(net, np.random.default_rng(2).standard_normal((9, 6)))
-    assert np.array_equal(H[3:, :], np.zeros((3, 6)))
-    assert np.array_equal(H[:, 3:], np.zeros((6, 3)))
-    assert np.any(H[:3, :3] != 0.0)
-
-
 @pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
 def test_mean_hessian_kink_rule_matches_batch(coupling):
     # With zero biases, a zero row puts every pre-activation exactly at the
@@ -393,12 +380,15 @@ def test_mean_hessian_rejects_empty_batch():
         mean_input_hessian(random_network(p=2, seed=0), np.zeros((0, 4)))
 
 
-def test_mean_input_hessian_peak_memory():
+@pytest.mark.parametrize("coupling, bound", [(True, 24.0), (False, 40.0)],
+                         ids=["coupling", "dense"])
+def test_mean_input_hessian_peak_memory(coupling, bound):
     # One sample's 32 x 32 path points at the protocol's sizes. J_1 and its
-    # scaled copy are 7.5 MiB each; no per-point Hessian is built.
-    net = random_network(p=30, hidden=(64, 32, 16), seed=0, scale=0.3)
+    # scaled copy are 7.5 MiB each with coupling (d0 = p), 15 MiB each
+    # without (d0 = 2p); no per-point Hessian is built.
+    net = random_network(p=30, hidden=(64, 32, 16), seed=0, scale=0.3, coupling=coupling)
     X = np.random.default_rng(0).standard_normal((1024, 60))
-    assert peak_mib(mean_input_hessian, net, X) <= 24.0
+    assert peak_mib(mean_input_hessian, net, X) <= bound
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
