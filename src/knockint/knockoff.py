@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import linalg
 
 from .exceptions import (ConfigurationError, ContractViolation, DegenerateFeatureError,
                          ValidationError)
@@ -59,7 +58,7 @@ def solve_s(sigma: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:
         raise ContractViolation("sigma has nonpositive diagonal")
     scale = np.sqrt(var)
     corr = sigma / np.outer(scale, scale)
-    lam_min = linalg.eigh(corr, eigvals_only=True)[0]
+    lam_min = np.linalg.eigvalsh(corr)[0]
     if lam_min <= 0:
         raise ContractViolation("sigma is not positive definite")
     s_corr = (1.0 - epsilon) * min(2.0 * lam_min, 1.0)
@@ -67,12 +66,12 @@ def solve_s(sigma: np.ndarray, epsilon: float = 1e-3) -> np.ndarray:
 
 
 def _conditional_factors(sigma: np.ndarray, s: np.ndarray):
-    sigma_inv = linalg.inv(sigma)
+    sigma_inv = np.linalg.inv(sigma)
     ds = np.diag(s)
     cond_mean_map = np.eye(len(s)) - ds @ sigma_inv
     cond_cov = 2.0 * ds - ds @ sigma_inv @ ds
     cond_cov = (cond_cov + cond_cov.T) / 2.0
-    factor = linalg.cholesky(cond_cov, lower=True)
+    factor = np.linalg.cholesky(cond_cov)
     return cond_mean_map, factor
 
 
@@ -97,23 +96,26 @@ def fit_gaussian(X: np.ndarray, ridge: float = 0.0,
         raise ConfigurationError("ridge must be nonnegative")
     if not 0 < s_scale <= 1:
         raise ConfigurationError("s_scale must lie in (0, 1]")
-    variances = X.var(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        variances = X.var(axis=0)
+        sigma = np.atleast_2d(np.cov(X, rowvar=False))
     if ridge == 0.0 and np.any(variances == 0):
         raise DegenerateFeatureError(np.flatnonzero(variances == 0))
+    if not np.all(np.isfinite(sigma)):
+        raise ContractViolation("the covariance of X is not finite (it overflows float64); "
+                                "rescale the features")
 
     mu = X.mean(axis=0)
-    sigma = np.cov(X, rowvar=False)
-    sigma = np.atleast_2d(sigma)
     sigma = (sigma + sigma.T) / 2.0
     p = sigma.shape[0]
 
     current = ridge
     sigma_r = sigma + current * np.eye(p)
-    lam_min = linalg.eigh(sigma_r, eigvals_only=True)[0]
+    lam_min = np.linalg.eigvalsh(sigma_r)[0]
     while lam_min < 1e-8:
         current = max(current * 10.0, 1e-10)
         sigma_r = sigma + current * np.eye(p)
-        lam_min = linalg.eigh(sigma_r, eigvals_only=True)[0]
+        lam_min = np.linalg.eigvalsh(sigma_r)[0]
 
     s = s_scale * solve_s(sigma_r)
     cond_mean_map, factor = _conditional_factors(sigma_r, s)

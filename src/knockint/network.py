@@ -396,12 +396,13 @@ def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndar
     for l in (3, 2, 1, 0):
         np.matmul(inputs[l].T, g, out=g_net.w[l])
         np.add.reduce(g, axis=0, out=g_net.b[l])
-        g = g @ net.w[l].T
         if l:
+            g = g @ net.w[l].T
             g *= elu_prime[l - 1]
     n_w = sum(w.size for w in net.w)
     if net.coupling:
         p = net.p
+        g = g @ net.w[0].T  # only the filter weights read the input gradient
         np.add.reduce(X[:, :p] * g, axis=0, out=g_net.z)
         np.add.reduce(X[:, p:] * g, axis=0, out=g_net.z_tilde)
         if l1_filter > 0:

@@ -418,6 +418,10 @@ MALFORMED_INPUTS = {
     "score_augmented_without_ko_columns": ("score --net {d}/net.npz --augmented {d}/data.csv "
                                            "--out {d}/x.csv", "data.csv"),
     "run_config_task_poisson": ("run --config {d}/task_poisson_cfg.json", "task"),
+    "knockoff_covariance_overflow": ("knockoff --data {d}/huge.csv --augmented-out {d}/x.csv "
+                                     "--model-out {d}/x.npz", "covariance"),
+    "run_dataset_covariance_overflow": ("run --dataset {d}/huge.csv --repetitions 1 "
+                                        "--no-intermediates --out {d}/huge_out", "covariance"),
 }
 
 # Entries that spoil the 60-row dataset's manifest, each read by every stage
@@ -480,6 +484,9 @@ def malformed_dir(tmp_path_factory):
     (d / "beyond.json").write_text('{"selected": [[0, 1], [1, 2]]}')  # scores.csv is 2 wide
     (d / "train_foo.json").write_text('{"train": {"foo": 1}}')
     (d / "n_abc.json").write_text('{"n": "abc"}')
+    huge = np.random.default_rng(0).uniform(size=(40, 10)) * 1e200  # finite; cov overflows
+    (d / "huge.csv").write_text("x1,x2,x3,x4,x5,x6,x7,x8,x9,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in huge.tolist()))
     (d / "task_poisson_cfg.json").write_text(json.dumps(
         {"task": "poisson", "output_dir": str(d / "task_out")}))
     return d

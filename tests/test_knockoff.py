@@ -1,5 +1,7 @@
 """Tests for the second-order Gaussian knockoff construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -69,6 +71,16 @@ def test_fit_rejects_non_finite(rng, bad):
         fit_gaussian(X, ridge=1e-6)
 
 
+def test_fit_rejects_overflowing_covariance(rng):
+    # Finite features whose covariance overflows float64 fail before any
+    # eigensolve, and without a numpy warning.
+    X = rng.uniform(size=(40, 10)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractViolation, match="covariance of X is not finite"):
+            fit_gaussian(X)
+
+
 def test_fit_duplicated_column_with_ridge(rng):
     X = rng.standard_normal((500, 2))
     X = np.hstack([X, X[:, :1]])
@@ -105,6 +117,35 @@ def test_conditional_factor_identity():
     target = 2 * ds - ds @ linalg.inv(model.sigma) @ ds
     np.testing.assert_allclose(model.cond_cov_factor @ model.cond_cov_factor.T,
                                target, atol=1e-10)
+
+
+def _spd_covariances():
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((8, 6))
+    ar1 = 0.8 ** np.abs(np.subtract.outer(np.arange(6), np.arange(6)))
+    scale = np.array([1e-3, 0.1, 1.0, 10.0, 1e3, 1e4])
+    return {"identity": np.eye(6), "equicorrelated": 0.6 * np.ones((6, 6)) + 0.4 * np.eye(6),
+            "ar1": ar1, "wishart": A.T @ A / 8 + 0.05 * np.eye(6),
+            "ar1_rescaled": ar1 * np.outer(scale, scale)}
+
+
+@pytest.mark.parametrize("name", sorted(_spd_covariances()))
+def test_conditional_factors_match_scipy_formula(name):
+    # The model's sampling factors against the formula written out with
+    # scipy.linalg: I - diag(s) Sigma^-1 and the lower Cholesky factor of
+    # 2 diag(s) - diag(s) Sigma^-1 diag(s).
+    sigma_true = _spd_covariances()[name]
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((400, 6)) @ linalg.cholesky(sigma_true, lower=True).T
+    model = fit_gaussian(X, ridge=1e-8)
+    ds = np.diag(model.s)
+    sigma_inv = linalg.inv(model.sigma)
+    cond_cov = 2 * ds - ds @ sigma_inv @ ds
+    factor = linalg.cholesky((cond_cov + cond_cov.T) / 2, lower=True)
+    np.testing.assert_allclose(model.cond_mean_map, np.eye(6) - ds @ sigma_inv,
+                               rtol=1e-10, atol=1e-10 * np.max(np.abs(ds @ sigma_inv)))
+    np.testing.assert_allclose(model.cond_cov_factor, factor,
+                               rtol=1e-10, atol=1e-10 * np.max(np.abs(factor)))
 
 
 # ---------------------------------------------------------------- sampling

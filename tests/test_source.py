@@ -126,11 +126,11 @@ def test_scipy_imports_detected():
     assert module_imports(source, "scipy") == [1, 2, 4, 5]
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(Path(knockint.__file__).parent.glob("*.py"))
-                                  if p.name != "knockoff.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(Path(knockint.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_only_knockoff_imports_scipy(path):
-    # knockoff.py's scipy.linalg is the package's one use of scipy; the rest
-    # is numpy, so importing knockint loads no more of scipy than that.
+    # No module imports scipy, knockoff.py included: numpy is the package's
+    # one runtime dependency, and scipy is the tests' independent oracle.
     assert module_imports(path.read_text(), "scipy") == []
 
 
@@ -161,12 +161,16 @@ def test_only_table_parses_and_formats_csv(path):
     assert text_table_code(path.read_text()) == []
 
 
-def test_import_loads_no_scipy_stats():
+def test_import_loads_no_scipy():
+    # A fresh interpreter that imports knockint and fits and samples
+    # knockoffs loads no scipy module.
     env = {**os.environ, "PYTHONPATH": str(Path(knockint.__file__).parents[1])}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, knockint; print(*sorted(m for m in sys.modules "
-         "if m == 'scipy.stats' or m.startswith('scipy.stats.')))"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
+    script = ("import sys, numpy as np, knockint\n"
+              "X = np.random.default_rng(0).standard_normal((50, 4))\n"
+              "knockint.sample_knockoffs(X, knockint.fit_gaussian(X), seed=1)\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
     assert loaded == []
 
 
