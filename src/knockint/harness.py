@@ -29,7 +29,8 @@ from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_
 from .importance import METHODS, AttributionConfig, compute_scores, write_scores_csv
 from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
 from .metrics import EvalReport, aggregate, evaluate
-from .network import HIDDEN_SIZES, TASKS, TrainConfig, init_network, save_network, train
+from .network import (HIDDEN_SIZES, TASKS, TrainConfig, check_hidden_sizes, init_network,
+                      save_network, train)
 from .simsuite import (Dataset, SimulationSpec, generate, held_out, read_dataset_csv,
                        write_dataset_csv)
 from .table import write_json, write_table
@@ -95,6 +96,7 @@ class ExperimentConfig:
             raise ConfigurationError("s_scale must lie in (0, 1]")
         if self.task not in TASKS:
             raise ConfigurationError(f"task must be one of {TASKS}, got {self.task!r}")
+        check_hidden_sizes(self.hidden_sizes)
         if self.dataset is None:  # every function, before any cell runs
             for function_id in self.functions:
                 SimulationSpec(function_id, self.n, self.p).validate()

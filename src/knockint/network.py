@@ -10,14 +10,13 @@ plain dense first layer on all ``2p`` inputs.
 
 All differentiation is done analytically and in filter space, with respect
 to the ``d0`` filter outputs ``h0`` (``p`` with coupling, ``2p`` without).
-Input gradients are reverse mode. Per-row input Hessians
-(``batch_input_hessian``) are forward-over-reverse, pushing ``d0`` tangents
-per row. The mean Hessian over rows (``mean_input_hessian``, or
-``batch_input_hessian(..., mean=True)``) uses the layerwise identity
-``H = sum_l J_l^T diag(c_l) J_l``, with ``J_l`` the Jacobian of the
-pre-activation ``a_l`` in ``h0`` and ``c_l = (df/dh_{l+1}) * ELU''(a_l)``;
-each term's sum over rows is one matrix product, so no per-row Hessian is
-built. The coupling layer is the linear map
+Input gradients are reverse mode. Input Hessians have one algorithm, the
+layerwise identity ``H = sum_l J_l^T diag(c_l) J_l``, with ``J_l`` the
+Jacobian of the pre-activation ``a_l`` in ``h0`` and
+``c_l = (df/dh_{l+1}) * ELU''(a_l)``. ``mean_input_hessian`` sums each term
+over a batch's rows as one matrix product, so the mean Hessian builds no
+per-row Hessian; ``batch_input_hessian`` takes each row's Hessian as the
+mean over that row alone. The coupling layer is the linear map
 ``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its transpose, which
 carries a derivative from filter space to the ``2p`` augmented inputs. No
 other module reads ``z`` or ``z_tilde``.
@@ -129,6 +128,15 @@ class CoupledNetwork:
         return params
 
 
+def check_hidden_sizes(hidden_sizes) -> tuple:
+    """``hidden_sizes`` as a tuple, checked to hold three positive integers."""
+    sizes = tuple(hidden_sizes)
+    if len(sizes) != 3 or not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool)
+                                  and h >= 1 for h in sizes):
+        raise ConfigurationError(f"need 3 positive integer hidden sizes, got {list(sizes)}")
+    return tuple(int(h) for h in sizes)
+
+
 def init_network(p, hidden_sizes=HIDDEN_SIZES, task="regression", seed=0,
                  coupling=True) -> CoupledNetwork:
     """Build a freshly initialized network.
@@ -139,9 +147,7 @@ def init_network(p, hidden_sizes=HIDDEN_SIZES, task="regression", seed=0,
     """
     if p < 1:
         raise ConfigurationError(f"feature count must be >= 1, got {p}")
-    hidden_sizes = tuple(int(h) for h in hidden_sizes)
-    if len(hidden_sizes) != 3 or any(h < 1 for h in hidden_sizes):
-        raise ConfigurationError(f"need 3 positive hidden sizes, got {hidden_sizes}")
+    hidden_sizes = check_hidden_sizes(hidden_sizes)
     if task not in TASKS:
         raise ConfigurationError(f"unknown task {task!r}")
 
@@ -224,11 +230,6 @@ def _forward_pass(net: CoupledNetwork, X: np.ndarray):
     return inputs, pre, elu_prime, out
 
 
-def _elu_second(pre: np.ndarray, elu_prime: np.ndarray) -> np.ndarray:
-    """ELU'' with the left-limit convention at the kink: ELU' for a <= 0, else 0."""
-    return np.where(pre > 0, 0.0, elu_prime)
-
-
 def predict(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     """Batch predictions on the response scale.
 
@@ -260,44 +261,16 @@ def batch_input_gradient(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
 
 def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray, *,
                         mean: bool = False) -> np.ndarray:
-    """Input Hessians for a batch, shape (n, 2p, 2p); with ``mean``, their
-    mean over the rows, shape (2p, 2p), taken by ``mean_input_hessian``
-    without building the per-row Hessians.
-
-    Forward-over-reverse in filter space: one unit tangent per filter output
-    is pushed through the forward pass, then through the adjoint pass. The
-    ``d0 x d0`` result is symmetrized, so H == H.T holds exactly, and both
-    axes are pulled back to the augmented inputs.
-
-    Memory: apart from the pre-activation tangents kept for the adjoint pass,
-    each freed as that pass uses it, at most two ``(n, d0, width)`` tangent
-    blocks are alive at a time. The tangents are freed before the pull-back,
-    which holds the ``(n, d0, d0)`` block and its ``(n, 2p, 2p)`` result.
-    """
+    """Input Hessians for a batch, shape (n, 2p, 2p), row ``k``'s being the
+    one-row mean ``mean_input_hessian(net, X_aug[k:k + 1])``; with ``mean``,
+    their mean over the rows, ``mean_input_hessian(net, X_aug)``, shape (2p, 2p)."""
     if mean:
         return mean_input_hessian(net, X_aug)
     X_aug = _checked_input(net, X_aug)
-    net.check_finite()
-    inputs, pre, elu_prime, _ = _forward_pass(net, X_aug)
-
-    # Tangents of the pre-activations, one row per filter-output direction.
-    tpre = [np.eye(inputs[0].shape[-1]) @ net.w[0]]
-    for l in (1, 2):
-        tpre.append((elu_prime[l - 1][:, None, :] * tpre[l - 1]) @ net.w[l])
-
-    g, tg = net.w[3][:, 0], 0.0        # gradient w.r.t. h3 and its tangents
-    for l in (2, 1, 0):
-        ga = g * elu_prime[l]
-        tga = (g * _elu_second(pre[l], elu_prime[l]))[:, None, :] * tpre.pop()
-        tg *= elu_prime[l][:, None, :]     # the first pass makes the scalar 0 an array
-        tga += tg
-        g = ga @ net.w[l].T
-        tg = tga @ net.w[l].T
-        del tga
-    G = tg + np.swapaxes(tg, -1, -2)
-    del tg
-    G /= 2.0
-    return pull_back(net, G, (-2, -1))
+    H = np.empty((X_aug.shape[0],) + (X_aug.shape[1],) * 2)
+    for k in range(X_aug.shape[0]):
+        H[k] = mean_input_hessian(net, X_aug[k:k + 1])
+    return H
 
 
 def _gram_over_rows(J: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -310,10 +283,9 @@ def _gram_over_rows(J: np.ndarray, c: np.ndarray) -> np.ndarray:
 def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     """Mean of the input Hessians over the rows of a batch, shape (2p, 2p).
 
-    Equals ``batch_input_hessian(net, X_aug).mean(axis=0)`` up to rounding.
     In filter space, ``H = sum_l J_l^T diag(c_l) J_l`` row by row, where
-    ``J_l = da_l/dh0`` and ``c_l = (df/dh_{l+1}) * ELU''(a_l)`` with the
-    kink rule of ``batch_input_hessian``. ``J_0 = W0^T`` for every row, so
+    ``J_l = da_l/dh0`` and ``c_l = (df/dh_{l+1}) * ELU''(a_l)``; at the kink
+    ``a = 0`` ELU'' takes its left limit 1. ``J_0 = W0^T`` for every row, so
     its term is ``W0 diag(sum_k c_0) W0^T``. ``J_1 = W1^T diag(ELU'(a_0)) W0^T``
     is one product for all rows, ``ELU'(a_0) @ P`` with
     ``P[m, (j, i)] = W1[m, j] W0[i, m]``, and ``J_2 = W2^T diag(ELU'(a_1)) J_1``.
@@ -334,7 +306,7 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
 
     c, g = [None] * 3, net.w[3][:, 0]      # g: gradient w.r.t. h_{l+1}
     for l in (2, 1, 0):
-        c[l] = g * _elu_second(pre[l], elu_prime[l])
+        c[l] = g * np.where(pre[l] > 0, 0.0, elu_prime[l])   # ELU'' = ELU' for a <= 0
         if l:
             g = (g * elu_prime[l]) @ net.w[l].T
     w0, w1, w2 = net.w[:3]
@@ -442,6 +414,8 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     rng = np.random.default_rng(cfg.seed)
 
     n_val = int(round(cfg.validation_fraction * n))
+    if n_val == n:
+        raise ConfigurationError(f"validation_fraction leaves no training rows of n={n}")
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     Xtr, ytr = X_aug[train_idx], y[train_idx]

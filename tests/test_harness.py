@@ -418,6 +418,9 @@ MALFORMED_INPUTS = {
     "score_augmented_without_ko_columns": ("score --net {d}/net.npz --augmented {d}/data.csv "
                                            "--out {d}/x.csv", "data.csv"),
     "run_config_task_poisson": ("run --config {d}/task_poisson_cfg.json", "task"),
+    "train_validation_split_leaves_no_training_rows": (
+        "train --data {d}/data.csv --augmented {d}/aug.csv --validation-fraction 0.99 "
+        "--batch-size 16 --epochs 1 --net-out {d}/x.npz", "no training rows"),
     "knockoff_covariance_overflow": ("knockoff --data {d}/huge.csv --augmented-out {d}/x.csv "
                                      "--model-out {d}/x.npz", "covariance"),
     "run_dataset_covariance_overflow": ("run --dataset {d}/huge.csv --repetitions 1 "
@@ -501,6 +504,24 @@ def test_cli_malformed_input_exit_code(case, malformed_dir, capsys):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err, err
+
+
+@pytest.mark.parametrize("hidden", [["a", 2, 3], [8.7, 4, 2], [64, 0, 16]],
+                         ids=["text", "float", "zero"])
+def test_cli_run_config_bad_hidden_sizes_exit_code(hidden, tmp_path, capsys):
+    # Rejected by ExperimentConfig.validate, before any cell runs.
+    out = tmp_path / "exp"
+    cfg = {"functions": ["F6"], "n": 200, "p": 10, "repetitions": 1, "train": {"epochs": 1},
+           "save_intermediates": False, "hidden_sizes": hidden, "output_dir": str(out)}
+    with pytest.raises(ConfigurationError, match="hidden sizes"):
+        ExperimentConfig.from_dict(cfg).validate()
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "hidden sizes" in err
+    assert not (out / "report.json").exists()
 
 
 def test_config_from_dict_checks_nested_fields_and_types():
