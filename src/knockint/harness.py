@@ -98,8 +98,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"task must be one of {TASKS}, got {self.task!r}")
         check_hidden_sizes(self.hidden_sizes)
         if self.dataset is None:  # every function, before any cell runs
-            for function_id in self.functions:
+            if not self.functions:
+                raise ConfigurationError("functions is empty")
+            for k, function_id in enumerate(self.functions):
                 SimulationSpec(function_id, self.n, self.p).validate()
+                if function_id in self.functions[:k]:
+                    raise ConfigurationError(f"functions names {function_id} twice")
         self.train.validate()
         self.attribution.validate()
         _expand(self.method, METHODS)

@@ -21,12 +21,14 @@ mean over that row alone. The coupling layer is the linear map
 carries a derivative from filter space to the ``2p`` augmented inputs. No
 other module reads ``z`` or ``z_tilde``.
 
-``train`` keeps every parameter in one float64 buffer (``w0..w3``, then
-``z, z_tilde``, then ``b0..b3``) and rebinds the network's arrays as views of
-it; gradients and the Adam moments live in matching buffers, so clipping and
-each Adam step are a handful of whole-buffer operations. Each of them rounds
-exactly as a per-parameter Adam loop would, and ``train`` is bit-identical to
-the reference loop kept in ``tests/test_network.py``.
+``CoupledNetwork.named_params`` is the one table of parameters (``w0..w3``,
+``b0..b3``, then ``z, z_tilde``), ``_param_fields`` its inverse. ``train``
+keeps every parameter in one float64 buffer in that order and rebinds the
+network's arrays as views of it; gradients and the Adam moments live in
+matching buffers, so clipping and each Adam step are a handful of whole-buffer
+operations. Each of them rounds exactly as a per-parameter Adam loop would,
+and ``train`` is bit-identical to the reference loop kept in
+``tests/test_network.py``.
 """
 
 from __future__ import annotations
@@ -111,21 +113,28 @@ class CoupledNetwork:
 
     @property
     def p(self) -> int:
-        if self.coupling:
-            return self.w[0].shape[0]
-        return self.w[0].shape[0] // 2
+        return self.w[0].shape[0] // (1 if self.coupling else 2)
 
     def check_finite(self):
-        for arr in self._all_params():
-            if not np.all(np.isfinite(arr)):
-                raise ContractViolation("network contains non-finite parameters")
+        if not all(np.all(np.isfinite(a)) for a in self.named_params().values()):
+            raise ContractViolation("network contains non-finite parameters")
 
-    def _all_params(self):
-        params = []
+    def named_params(self) -> dict:
+        """Every parameter array by name: ``w0..w3``, ``b0..b3``, then ``z`` and
+        ``z_tilde`` with coupling, the order of the saved file's arrays."""
+        params = {f"w{l}": w for l, w in enumerate(self.w)}
+        params.update({f"b{l}": b for l, b in enumerate(self.b)})
         if self.coupling:
-            params += [self.z, self.z_tilde]
-        params += list(self.w) + list(self.b)
+            params.update(z=self.z, z_tilde=self.z_tilde)
         return params
+
+
+def _param_fields(params, coupling: bool) -> dict:
+    """The ``CoupledNetwork`` fields that hold ``params``, a mapping laid out as
+    ``named_params`` lays it out; the inverse of that table."""
+    return dict(w=[params[f"w{l}"] for l in range(4)], b=[params[f"b{l}"] for l in range(4)],
+                z=params["z"] if coupling else None,
+                z_tilde=params["z_tilde"] if coupling else None)
 
 
 def check_hidden_sizes(hidden_sizes) -> tuple:
@@ -177,8 +186,7 @@ def _checked_input(net: CoupledNetwork, X) -> np.ndarray:
 
 def _filter_layer(net: CoupledNetwork, X: np.ndarray) -> np.ndarray:
     if net.coupling:
-        p = net.p
-        return net.z * X[..., :p] + net.z_tilde * X[..., p:]
+        return net.z * X[..., :net.p] + net.z_tilde * X[..., net.p:]
     return X
 
 
@@ -191,26 +199,18 @@ def pull_back(net: CoupledNetwork, G: np.ndarray, axes) -> np.ndarray:
     product over all axes, so a symmetric ``G`` pulls back to a symmetric
     result. Without coupling the filter outputs are the inputs and ``G`` is
     returned unchanged.
-
-    Memory: the result is the one new array. ``G`` is viewed with a length-1
-    axis before each pulled axis and multiplied once by the ``(2, p)`` scale,
-    so no gathered copy of ``G`` is made.
     """
     if not net.coupling:
         return G
-    zbar = np.concatenate([net.z, net.z_tilde]).reshape(2, net.p)
-    pulled = [axis % G.ndim for axis in axes]
-    split, joined = [], []
-    for axis, size in enumerate(G.shape):
-        split += [1, size] if axis in pulled else [size]
-        joined.append(2 * size if axis in pulled else size)
+    zbar = np.concatenate([net.z, net.z_tilde])
+    idx = np.tile(np.arange(net.p), 2)
     scale = 1.0
-    for axis in pulled:
-        shape = [1] * len(split)
-        at = axis + sum(a < axis for a in pulled)   # where ``axis`` splits in two
-        shape[at:at + 2] = zbar.shape
+    for axis in axes:
+        shape = [1] * G.ndim
+        shape[axis] = -1
         scale = scale * zbar.reshape(shape)
-    return (scale * G.reshape(split)).reshape(joined)
+        G = np.take(G, idx, axis=axis)
+    return scale * G
 
 
 def _forward_pass(net: CoupledNetwork, X: np.ndarray):
@@ -324,8 +324,8 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
 class _Flat(NamedTuple):
     """One float64 buffer and a network whose parameters are views of it.
 
-    Layout: w0..w3, then z and z_tilde (coupling only), then b0..b3, so the
-    MLP weights and the filter weights are each one contiguous slice.
+    Layout: ``named_params``' order, so the MLP weights are the first slice
+    and the filter weights (coupling only) the last ``2p`` entries.
     """
 
     buf: np.ndarray
@@ -334,15 +334,13 @@ class _Flat(NamedTuple):
 
 def _flatten(net: CoupledNetwork, buf: np.ndarray | None = None) -> _Flat:
     """Copy ``net``'s parameters into a new buffer, or view ``buf`` laid out alike."""
-    arrays = [*net.w, *([net.z, net.z_tilde] if net.coupling else []), *net.b]
+    params = net.named_params()
     if buf is None:
-        buf = np.concatenate([a.ravel() for a in arrays], dtype=float)
-    views, start = [], 0
-    for a in arrays:
-        views.append(buf[start:start + a.size].reshape(a.shape))
-        start += a.size
-    z, z_tilde = views[4:6] if net.coupling else (None, None)
-    return _Flat(buf, replace(net, w=views[:4], b=views[-4:], z=z, z_tilde=z_tilde))
+        buf = np.concatenate([a.ravel() for a in params.values()], dtype=float)
+    ends = np.cumsum([a.size for a in params.values()])
+    views = {name: buf[end - a.size:end].reshape(a.shape)
+             for (name, a), end in zip(params.items(), ends)}
+    return _Flat(buf, replace(net, **_param_fields(views, net.coupling)))
 
 
 def _data_loss(task: str, out: np.ndarray, y: np.ndarray):
@@ -379,8 +377,7 @@ def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndar
         np.add.reduce(X[:, p:] * g, axis=0, out=g_net.z_tilde)
         if l1_filter > 0:
             loss += l1_filter * (np.abs(net.z).sum() + np.abs(net.z_tilde).sum())
-            filters = slice(n_w, n_w + 2 * p)
-            grads.buf[filters] += l1_filter * np.sign(params.buf[filters])
+            grads.buf[-2 * p:] += l1_filter * np.sign(params.buf[-2 * p:])
     if l1_mlp > 0:
         for l in range(4):
             loss += l1_mlp * np.abs(net.w[l]).sum()
@@ -492,11 +489,7 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
 
 def save_network(net: CoupledNetwork, path):
     """Serialize to a versioned ``.npz`` file; round trips bit-exactly."""
-    arrays = {f"w{l}": net.w[l] for l in range(4)}
-    arrays.update({f"b{l}": net.b[l] for l in range(4)})
-    if net.coupling:
-        arrays.update(z=net.z, z_tilde=net.z_tilde)
-    save_npz(path, SERIALIZATION_VERSION, arrays, task=net.task,
+    save_npz(path, SERIALIZATION_VERSION, net.named_params(), task=net.task,
              hidden_sizes=list(net.hidden_sizes), coupling=net.coupling,
              y_mean=net.y_mean, y_std=net.y_std)
 
@@ -504,14 +497,6 @@ def save_network(net: CoupledNetwork, path):
 def load_network(path) -> CoupledNetwork:
     meta, data = load_npz(path, SERIALIZATION_VERSION)
     coupling = bool(meta["coupling"])
-    return CoupledNetwork(
-        z=data["z"] if coupling else None,
-        z_tilde=data["z_tilde"] if coupling else None,
-        w=[data[f"w{l}"] for l in range(4)],
-        b=[data[f"b{l}"] for l in range(4)],
-        task=meta["task"],
-        hidden_sizes=tuple(meta["hidden_sizes"]),
-        coupling=coupling,
-        y_mean=float(meta["y_mean"]),
-        y_std=float(meta["y_std"]),
-    )
+    return CoupledNetwork(**_param_fields(data, coupling), task=meta["task"],
+                          hidden_sizes=tuple(meta["hidden_sizes"]), coupling=coupling,
+                          y_mean=float(meta["y_mean"]), y_std=float(meta["y_std"]))

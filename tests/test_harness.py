@@ -404,6 +404,13 @@ MALFORMED_INPUTS = {
                                           "--scores {d}/scores.csv "
                                           "--manifest {d}/data.manifest.json --out {d}/x.json",
                                           "beyond.json"),
+    "evaluate_selection_knockoff_pair": ("evaluate --selection {d}/knockoff_pair.json "
+                                         "--scores {d}/wide_scores.csv "
+                                         "--manifest {d}/data.manifest.json --out {d}/x.json",
+                                         "knockoff_pair.json"),
+    "run_functions_repeated": ("run --functions F6,F6 --p 10 --n 60 --repetitions 1 "
+                               "--epochs 1 --no-intermediates --out {d}/repeated_out",
+                               "F6 twice"),
     "run_config_list": ("run --config {d}/list.json", "list.json"),
     "run_config_unknown_train_field": ("run --config {d}/train_foo.json", "train.foo"),
     "run_config_wrong_type": ("run --config {d}/n_abc.json", "field n:"),
@@ -485,6 +492,9 @@ def malformed_dir(tmp_path_factory):
     (d / "triple.json").write_text('{"selected": [[0, 1, 2]]}')
     (d / "reversed.json").write_text('{"selected": [[1, 0]]}')
     (d / "beyond.json").write_text('{"selected": [[0, 1], [1, 2]]}')  # scores.csv is 2 wide
+    (d / "wide_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
+                                       "1,4,OD,0.1,0.1\n")  # p = 2
+    (d / "knockoff_pair.json").write_text('{"selected": [[0, 1], [0, 3]]}')  # (0, 3) is OD
     (d / "train_foo.json").write_text('{"train": {"foo": 1}}')
     (d / "n_abc.json").write_text('{"n": "abc"}')
     huge = np.random.default_rng(0).uniform(size=(40, 10)) * 1e200  # finite; cov overflows
@@ -521,6 +531,26 @@ def test_cli_run_config_bad_hidden_sizes_exit_code(hidden, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "hidden sizes" in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("functions, named", [(["F6", "F2", "F6"], "functions names F6 twice"),
+                                             ([], "functions is empty")],
+                         ids=["repeated", "empty"])
+def test_cli_run_config_bad_functions_exit_code(functions, named, tmp_path, capsys):
+    # Rejected by ExperimentConfig.validate, before any cell runs: a repeated
+    # id would run one cell twice into one directory, and none would run nothing.
+    out = tmp_path / "exp"
+    cfg = {"functions": functions, "n": 200, "p": 10, "repetitions": 1, "train": {"epochs": 1},
+           "save_intermediates": False, "output_dir": str(out)}
+    with pytest.raises(ConfigurationError, match=named):
+        ExperimentConfig.from_dict(cfg).validate()
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
     assert not (out / "report.json").exists()
 
 

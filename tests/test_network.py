@@ -417,6 +417,13 @@ def test_pull_back_bit_equal_to_take_formula(axes):
     out = pull_back(net, G, axes)
     assert out.shape == expected.shape
     assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    # Independently, contract each pulled axis with the layer's p x 2p matrix C,
+    # h0 = C (x, x_ko): C[j, j] = z_j and C[j, j + p] = z_tilde_j.
+    C = np.hstack([np.diag(net.z), np.diag(net.z_tilde)])
+    contracted = G
+    for axis in axes:
+        contracted = np.moveaxis(np.tensordot(contracted, C, axes=([axis], [0])), -1, axis)
+    assert np.max(np.abs(out - contracted)) <= 1e-15 * np.max(np.abs(expected))
     dense = random_network(p=p, seed=3, coupling=False)
     assert pull_back(dense, G, axes) is G
 
@@ -635,7 +642,7 @@ def test_train_bit_identical_to_reference(coupling, task, grad_clip, penalized):
     got, trace = train(net, X, y, cfg)
     if grad_clip is not None:
         assert clipped > 0
-    for a, b in zip(ref._all_params(), got._all_params(), strict=True):
+    for a, b in zip(ref.named_params().values(), got.named_params().values(), strict=True):
         assert np.array_equal(a, b)
     assert (ref.y_mean, ref.y_std) == (got.y_mean, got.y_std)
     assert trace == ref_trace
@@ -643,10 +650,10 @@ def test_train_bit_identical_to_reference(coupling, task, grad_clip, penalized):
 
 def test_train_leaves_input_network_unchanged():
     net = random_network(p=3, seed=3)
-    before = [a.copy() for a in net._all_params()]
+    before = [a.copy() for a in net.named_params().values()]
     X = np.random.default_rng(0).standard_normal((40, 6))
     train(net, X, X[:, 0], TrainConfig(epochs=2, batch_size=16))
-    for a, b in zip(before, net._all_params(), strict=True):
+    for a, b in zip(before, net.named_params().values(), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -700,6 +707,20 @@ def test_network_roundtrip_bit_exact(tmp_path):
     assert loaded.task == trained.task
     assert loaded.hidden_sizes == trained.hidden_sizes
     assert loaded.y_mean == trained.y_mean and loaded.y_std == trained.y_std
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+def test_file_and_training_buffer_share_one_layout(coupling, tmp_path):
+    # The saved file's arrays and the training buffer follow one order; the
+    # file's order is what keeps saved networks byte-identical.
+    net = random_network(p=3, seed=2, coupling=coupling)
+    names = [f"w{l}" for l in range(4)] + [f"b{l}" for l in range(4)]
+    names += ["z", "z_tilde"] if coupling else []
+    save_network(net, tmp_path / "net.npz")
+    with np.load(tmp_path / "net.npz") as data:
+        assert data.files == names + ["meta"]
+        raveled = np.concatenate([data[name].ravel() for name in names])
+    assert np.array_equal(_flatten(net).buf, raveled)
 
 
 def test_no_coupling_network_roundtrip(tmp_path):

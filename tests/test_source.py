@@ -57,6 +57,37 @@ def test_only_network_reads_filter_weights(path):
     assert filter_weight_reads(path.read_text()) == []
 
 
+PARAM_TABLE = ("named_params", "_param_fields")  # the table and its inverse
+
+
+def param_name_spellings(source: str) -> list:
+    """Lines outside the ``PARAM_TABLE`` functions that spell a parameter name:
+    ``"z"``, ``"z_tilde"``, ``"w0"``..``"b3"``, ``f"w{l}"`` or ``f"b{l}"``."""
+    tree = ast.parse(source)
+    table = {id(node) for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef) and fn.name in PARAM_TABLE
+             for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in table and (
+        isinstance(node, ast.Constant) and node.value in ("z", "z_tilde", *(
+            f"{k}{l}" for k in "wb" for l in range(4)))
+        or isinstance(node, ast.JoinedStr) and len(node.values) == 2
+        and getattr(node.values[0], "value", None) in ("w", "b")))
+
+
+def test_param_name_spellings_detected():
+    source = ('x = {"z": 1}\ndef named_params(self):\n    return {f"w{l}": 1, "z_tilde": 2}\n'
+              'y = f"b{k}"\nu = f"w{l}_x"\nv = "w3"\nnet.z\nf(z=1)\n')
+    assert param_name_spellings(source) == [1, 4, 6]
+
+
+def test_only_the_parameter_table_spells_parameter_names():
+    # network.py names each parameter once, in CoupledNetwork.named_params, and
+    # reads the names back once, in its inverse _param_fields; the finite
+    # check, the saved file and the training buffer all go through these two.
+    network = Path(knockint.__file__).parent / "network.py"
+    assert param_name_spellings(network.read_text()) == []
+
+
 # json.dumps may still print to stdout; these four read or write a file.
 FILE_FORMAT_CALLS = {("json", "load"), ("json", "dump"), ("np", "load"), ("np", "savez")}
 
