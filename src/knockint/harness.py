@@ -29,8 +29,8 @@ from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_
 from .importance import METHODS, AttributionConfig, compute_scores, write_scores_csv
 from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
 from .metrics import EvalReport, aggregate, evaluate
-from .network import (HIDDEN_SIZES, TASKS, TrainConfig, check_hidden_sizes, init_network,
-                      save_network, train)
+from .network import (HIDDEN_SIZES, TASKS, TrainConfig, check_hidden_sizes,
+                      check_training_rows, init_network, save_network, train)
 from .simsuite import (Dataset, SimulationSpec, generate, held_out, read_dataset_csv,
                        write_dataset_csv)
 from .table import write_json, write_table
@@ -293,16 +293,19 @@ def _run_cells(cells) -> list:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute every (function, repetition) cell and write the report files.
 
-    ``cfg.dataset`` is read and validated once, before any cell runs. A
+    ``cfg.dataset`` is read and validated once, and the training rows every
+    cell will have are checked against ``cfg.train``, before any cell runs. A
     repetition that fails with a ``KnockintError`` or a numeric failure is
     logged into the report and the run continues; any other exception
     propagates, and no worker process outlives the call.
     """
     cfg.validate()
     dataset = None
+    n_train = int(round(0.5 * cfg.n))  # as generate splits a simulation
     if cfg.dataset is not None:  # trains on the first half of its rows
         dataset = read_dataset_csv(cfg.dataset, None, cfg.response_column, cfg.task)
-        dataset.n_train = int(round(0.5 * len(dataset.y)))
+        n_train = dataset.n_train = int(round(0.5 * len(dataset.y)))
+    check_training_rows(cfg.train, n_train)  # every cell trains on n_train rows
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 

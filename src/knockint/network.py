@@ -15,11 +15,13 @@ layerwise identity ``H = sum_l J_l^T diag(c_l) J_l``, with ``J_l`` the
 Jacobian of the pre-activation ``a_l`` in ``h0`` and
 ``c_l = (df/dh_{l+1}) * ELU''(a_l)``. ``mean_input_hessian`` sums each term
 over a batch's rows as one matrix product, so the mean Hessian builds no
-per-row Hessian; ``batch_input_hessian`` takes each row's Hessian as the
-mean over that row alone. The coupling layer is the linear map
-``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its transpose, which
-carries a derivative from filter space to the ``2p`` augmented inputs. No
-other module reads ``z`` or ``z_tilde``.
+per-row Hessian. Its ``weights`` scale each row's ``c_l``: by default every
+row weighs ``1/n``, and a path integral passes each distinct point's share
+of its grid. ``batch_input_hessian`` takes each row's Hessian as the mean
+over that row alone, whose one weight is exactly 1. The coupling layer is
+the linear map ``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its
+transpose, which carries a derivative from filter space to the ``2p``
+augmented inputs. No other module reads ``z`` or ``z_tilde``.
 
 ``CoupledNetwork.named_params`` is the one table of parameters (``w0..w3``,
 ``b0..b3``, then ``z, z_tilde``), ``_param_fields`` its inverse. ``train``
@@ -260,12 +262,13 @@ def batch_input_gradient(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
 
 
 def batch_input_hessian(net: CoupledNetwork, X_aug: np.ndarray, *,
-                        mean: bool = False) -> np.ndarray:
+                        mean: bool = False, weights=None) -> np.ndarray:
     """Input Hessians for a batch, shape (n, 2p, 2p), row ``k``'s being the
     one-row mean ``mean_input_hessian(net, X_aug[k:k + 1])``; with ``mean``,
-    their mean over the rows, ``mean_input_hessian(net, X_aug)``, shape (2p, 2p)."""
+    their mean over the rows, ``mean_input_hessian(net, X_aug, weights)``,
+    shape (2p, 2p). ``weights`` is read only with ``mean``."""
     if mean:
-        return mean_input_hessian(net, X_aug)
+        return mean_input_hessian(net, X_aug, weights)
     X_aug = _checked_input(net, X_aug)
     H = np.empty((X_aug.shape[0],) + (X_aug.shape[1],) * 2)
     for k in range(X_aug.shape[0]):
@@ -280,8 +283,12 @@ def _gram_over_rows(J: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (flat * c.reshape(-1, 1)).T @ flat
 
 
-def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
-    """Mean of the input Hessians over the rows of a batch, shape (2p, 2p).
+def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray, weights=None) -> np.ndarray:
+    """Weighted mean of the input Hessians over the rows of a batch, shape (2p, 2p).
+
+    ``weights`` holds one value per row, by default ``1/n`` each; it scales
+    each row's ``c_l``, so the sums below are the weighted mean. A one-row
+    batch has weight 1, which leaves its Hessian's bits as they are.
 
     In filter space, ``H = sum_l J_l^T diag(c_l) J_l`` row by row, where
     ``J_l = da_l/dh0`` and ``c_l = (df/dh_{l+1}) * ELU''(a_l)``; at the kink
@@ -302,11 +309,16 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     n = X_aug.shape[0]
     if n < 1:
         raise ContractViolation("mean_input_hessian needs at least one row")
+    weights = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != (n,):
+        raise ContractViolation(f"need one weight per row, got shape {weights.shape} "
+                                f"for {n} rows")
     _, pre, elu_prime, _ = _forward_pass(net, X_aug)
 
     c, g = [None] * 3, net.w[3][:, 0]      # g: gradient w.r.t. h_{l+1}
     for l in (2, 1, 0):
         c[l] = g * np.where(pre[l] > 0, 0.0, elu_prime[l])   # ELU'' = ELU' for a <= 0
+        c[l] *= weights[:, None]
         if l:
             g = (g * elu_prime[l]) @ net.w[l].T
     w0, w1, w2 = net.w[:3]
@@ -317,7 +329,6 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray) -> np.ndarray:
     H += _gram_over_rows(J, c[1])
     J = (w2.T * elu_prime[1][:, None, :]) @ J                 # J_2
     H += _gram_over_rows(J, c[2])
-    H /= n
     return pull_back(net, (H + H.T) / 2.0, (-2, -1))
 
 
@@ -385,6 +396,17 @@ def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndar
     return loss
 
 
+def check_training_rows(cfg: TrainConfig, n: int) -> int:
+    """The validation rows ``cfg`` holds out of ``n`` training rows, checked to
+    leave rows to train on and no fewer rows than one batch."""
+    if cfg.batch_size > n:
+        raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds n={n}")
+    n_val = int(round(cfg.validation_fraction * n))
+    if n_val == n:
+        raise ConfigurationError(f"validation_fraction leaves no training rows of n={n}")
+    return n_val
+
+
 def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
           cfg: TrainConfig | None = None):
     """Train a copy of ``net`` with mini-batch Adam.
@@ -403,16 +425,11 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     if not (np.all(np.isfinite(X_aug)) and np.all(np.isfinite(y))):
         raise ContractViolation("training data must be finite")
     n = X_aug.shape[0]
-    if cfg.batch_size > n:
-        raise ConfigurationError(f"batch_size {cfg.batch_size} exceeds n={n}")
+    n_val = check_training_rows(cfg, n)
 
     params = _flatten(net)
     net = params.net
     rng = np.random.default_rng(cfg.seed)
-
-    n_val = int(round(cfg.validation_fraction * n))
-    if n_val == n:
-        raise ConfigurationError(f"validation_fraction leaves no training rows of n={n}")
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     Xtr, ytr = X_aug[train_idx], y[train_idx]

@@ -127,7 +127,7 @@ class SimulationSpec:
     train_fraction: float = 0.5
 
     def validate(self):
-        if self.function_id not in FUNCTIONS:
+        if not isinstance(self.function_id, str) or self.function_id not in FUNCTIONS:
             raise ConfigurationError(f"unknown function id {self.function_id!r}")
         if self.p < 10:
             raise ConfigurationError("p must be >= 10 (functions read x1..x10)")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -431,7 +432,8 @@ MALFORMED_INPUTS = {
     "knockoff_covariance_overflow": ("knockoff --data {d}/huge.csv --augmented-out {d}/x.csv "
                                      "--model-out {d}/x.npz", "covariance"),
     "run_dataset_covariance_overflow": ("run --dataset {d}/huge.csv --repetitions 1 "
-                                        "--no-intermediates --out {d}/huge_out", "covariance"),
+                                        "--batch-size 16 --no-intermediates "
+                                        "--out {d}/huge_out", "covariance"),
 }
 
 # Entries that spoil the 60-row dataset's manifest, each read by every stage
@@ -535,15 +537,16 @@ def test_cli_run_config_bad_hidden_sizes_exit_code(hidden, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("functions, named", [(["F6", "F2", "F6"], "functions names F6 twice"),
-                                             ([], "functions is empty")],
-                         ids=["repeated", "empty"])
+                                             ([], "functions is empty"),
+                                             ([["F1"]], "unknown function id ['F1']")],
+                         ids=["repeated", "empty", "not_a_string"])
 def test_cli_run_config_bad_functions_exit_code(functions, named, tmp_path, capsys):
     # Rejected by ExperimentConfig.validate, before any cell runs: a repeated
     # id would run one cell twice into one directory, and none would run nothing.
     out = tmp_path / "exp"
     cfg = {"functions": functions, "n": 200, "p": 10, "repetitions": 1, "train": {"epochs": 1},
            "save_intermediates": False, "output_dir": str(out)}
-    with pytest.raises(ConfigurationError, match=named):
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
         ExperimentConfig.from_dict(cfg).validate()
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     capsys.readouterr()
@@ -592,6 +595,31 @@ def test_cli_run_unknown_function_exit_code(tmp_path, capsys):
     assert rc == 2
     assert "'F11'" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("train, dataset, named", [
+    ({"batch_size": 4, "validation_fraction": 0.99}, False,
+     "validation_fraction leaves no training rows of n=10"),
+    ({"batch_size": 11}, False, "batch_size 11 exceeds n=10"),
+    ({"batch_size": 11}, True, "batch_size 11 exceeds n=10")],
+    ids=["no_training_rows", "batch_over_rows", "batch_over_dataset_rows"])
+def test_cli_run_checks_training_rows_before_any_cell(train, dataset, named, tmp_path, capsys):
+    # Every cell trains on half of the 20 rows, so each would fail alike:
+    # the run stops with one line before any cell, and writes no report.
+    out = tmp_path / "exp"
+    cfg = {"functions": ["F6"], "n": 20, "p": 10, "repetitions": 2,
+           "train": {"epochs": 1, **train}, "save_intermediates": False, "output_dir": str(out)}
+    if dataset:
+        rows = np.random.default_rng(0).uniform(size=(20, 4))
+        (tmp_path / "data.csv").write_text(
+            "a,b,c,resp\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+        cfg.update(dataset=str(tmp_path / "data.csv"), response_column="resp")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"
+    assert not out.exists()
 
 
 def test_cli_run_bad_dataset_exit_code(tmp_path, capsys):

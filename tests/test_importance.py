@@ -205,22 +205,48 @@ def test_instance_non_finite_sample_raises(score):
 
 
 def test_instance_2d_peak_memory():
-    # One sample's mean Hessian over its 1,024 path points is taken at a
-    # time, and no per-point Hessian is built (see the network's peak test).
-    net = random_network(p=30, hidden=(64, 32, 16), seed=1, scale=0.3)
+    # One sample's mean Hessian over its 446 distinct path points (of 1,024)
+    # is taken at a time, and no per-point Hessian is built (see the
+    # network's peak test). Over all 1,024 points the peak was 19.4 MiB with
+    # coupling and 34.7 MiB without; on the distinct points it is 8.8 and 15.7.
     X = np.random.default_rng(1).standard_normal((8, 60))
-    assert peak_mib(instance_based_2d, net, X, AttributionConfig(sample_cap=2)) <= 24.0
+    for coupling, bound in ((True, 12.0), (False, 24.0)):
+        net = random_network(p=30, hidden=(64, 32, 16), seed=1, scale=0.3, coupling=coupling)
+        assert peak_mib(instance_based_2d, net, X, AttributionConfig(sample_cap=2)) <= bound
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+@pytest.mark.parametrize("steps", [(3, 2), (8, 8), (32, 32)], ids=["3x2", "8x8", "32x32"])
+def test_instance_2d_equals_mean_of_per_point_hessians(coupling, steps):
+    # The oracle visits every point of the alpha x beta grid, repeats
+    # included, and averages the per-point Hessians.
+    net = random_network(p=3, seed=11, coupling=coupling)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-2.0, 2.0, size=(3, 6))
+    baselines = [np.zeros(6), rng.uniform(-1.0, 1.0, size=6)]
+    cfg = AttributionConfig(alpha_steps=steps[0], beta_steps=steps[1], baselines=baselines)
+    t = np.outer((np.arange(steps[0]) + 0.5) / steps[0],
+                 (np.arange(steps[1]) + 0.5) / steps[1]).ravel()
+    ref = np.zeros((6, 6))
+    for base in baselines:
+        for x in X:
+            H = batch_input_hessian(net, base + t[:, None] * (x - base)).mean(axis=0)
+            ref += np.outer(x - base, x - base) * H
+    ref /= len(baselines)
+    s2d = instance_based_2d(net, X, cfg)
+    assert np.max(np.abs(s2d - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_instance_2d_takes_one_hessian_call_per_sample_and_baseline(monkeypatch):
     # The benchmark traces Hessians through this binding, one call per sample
-    # and baseline, each taking the mean over all of the sample's path points.
+    # and baseline, each taking the weighted mean over the sample's distinct
+    # path points: at 3 x 2, a*b = 1/2 * 1/4 repeats as 1/6 * 3/4.
     import knockint.importance as importance_mod
     calls = []
 
-    def counted(net, points, *, mean=False):
+    def counted(net, points, *, mean=False, weights=None):
         calls.append((points.shape, mean))
-        return batch_input_hessian(net, points, mean=mean)
+        return batch_input_hessian(net, points, mean=mean, weights=weights)
 
     monkeypatch.setattr(importance_mod, "batch_input_hessian", counted)
     net = random_network(p=2, seed=4)
@@ -228,7 +254,7 @@ def test_instance_2d_takes_one_hessian_call_per_sample_and_baseline(monkeypatch)
     cfg = AttributionConfig(alpha_steps=3, beta_steps=2, sample_cap=3,
                             baselines=[np.zeros(4), np.full(4, 0.5)])
     instance_based_2d(net, X, cfg)
-    assert calls == [((6, 4), True)] * 6
+    assert calls == [((5, 4), True)] * 6
 
 
 def test_attribution_config_validation():

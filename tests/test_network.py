@@ -376,6 +376,30 @@ def test_mean_hessian_rejects_empty_batch():
         mean_input_hessian(random_network(p=2, seed=0), np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+def test_weighted_mean_hessian_equals_mean_over_repeated_rows(coupling):
+    # Integer counts as weights: the weighted mean is the plain mean over the
+    # batch with each row repeated its count of times.
+    for seed in range(3):
+        net = random_network(p=5, hidden=(6, 5, 3), seed=seed, coupling=coupling)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((9, 10))
+        counts = rng.integers(1, 5, size=9)
+        H = mean_input_hessian(net, X, counts / counts.sum())
+        ref = mean_input_hessian(net, np.repeat(X, counts, axis=0))
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
+        uniform = np.full(9, 1 / 9)
+        assert np.array_equal(mean_input_hessian(net, X), mean_input_hessian(net, X, uniform))
+
+
+def test_mean_hessian_rejects_weights_not_one_per_row():
+    net, X = random_network(p=2, seed=0), np.zeros((3, 4))
+    for weights in (np.ones(1), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ContractViolation, match="one weight per row"):
+            mean_input_hessian(net, X, weights)
+
+
 @pytest.mark.parametrize("coupling, bound", [(True, 24.0), (False, 40.0)],
                          ids=["coupling", "dense"])
 def test_mean_input_hessian_peak_memory(coupling, bound):

@@ -205,6 +205,29 @@ def test_import_loads_no_scipy():
     assert loaded == []
 
 
+def modules_loaded_by(statement: str) -> list:
+    """Top-level packages outside the standard library that ``statement``,
+    run in a fresh interpreter, loads beyond those loaded at start-up."""
+    env = {**os.environ, "PYTHONPATH": str(Path(knockint.__file__).parents[1])}
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              f"{statement}\n"
+              "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+              " - set(sys.stdlib_module_names)))\n")
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_third_party_imports_detected():
+    assert modules_loaded_by("import knockint, pluggy") == ["knockint", "numpy", "pluggy"]
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    # `import knockint` is most of the benchmark's set-up time, so a new
+    # dependency shows there first.
+    assert modules_loaded_by("import knockint") == ["knockint", "numpy"]
+
+
 def top_level_names(source: str) -> list:
     """Names a module defines at its top level."""
     names = []
