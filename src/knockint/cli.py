@@ -68,9 +68,9 @@ def _read_augmented(path, n, p, source):
     return X_aug
 
 
-def hidden_sizes(text: str) -> str:
+def hidden_sizes(text: str) -> tuple:
     """The ``--hidden`` type: comma-separated ints, such as ``64,32,16``."""
-    return ",".join(str(int(h)) for h in text.split(","))
+    return tuple(int(h) for h in text.split(","))
 
 
 def cmd_simulate(args):
@@ -98,11 +98,10 @@ def cmd_knockoff(args):
 
 
 def cmd_train(args):
+    cfg = TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction", "seed"))
     dataset = _read_data(args)
     X_aug = _read_augmented(args.augmented, *dataset.X.shape, args.data)
-    net, trace = harness.fit_network(
-        dataset, X_aug, args.coupling, tuple(map(int, args.hidden.split(","))),
-        TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction", "seed")))
+    net, trace = harness.fit_network(dataset, X_aug, args.coupling, args.hidden, cfg)
     net_out = _out(args.net_out)
     save_network(net, net_out)
     if args.trace_out:
@@ -111,12 +110,12 @@ def cmd_train(args):
 
 
 def cmd_score(args):
+    cfg = AttributionConfig(**_picked(args, "alpha_steps", "beta_steps", "sample_cap"))
     net = load_network(args.net)
     X_aug = _read_augmented(args.augmented, None, net.p, args.net)
     if args.manifest:
         _, n_train, _ = read_manifest(args.manifest, len(X_aug), net.p)
         X_aug = held_out(X_aug, n_train)
-    cfg = AttributionConfig(**_picked(args, "alpha_steps", "beta_steps", "sample_cap"))
     scores = compute_scores(net, args.method, X_aug, cfg)
     out = _out(args.out)
     write_scores_csv(out, scores)
@@ -166,9 +165,8 @@ def cmd_run(args):
             save_intermediates=not args.no_intermediates,
         )
         if args.paper_scale:
-            cfg.n = 20000
-            cfg.repetitions = 20
-    cfg.output_dir = str(_out(args.out or cfg.output_dir))
+            cfg = dataclasses.replace(cfg, n=20000, repetitions=20)
+    cfg = dataclasses.replace(cfg, output_dir=str(_out(args.out or cfg.output_dir)))
     report = harness.run_experiment(cfg)
     n_err = len(report["errors"])
     print(f"wrote {cfg.output_dir}/report.json "
@@ -218,7 +216,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--manifest")
     p.add_argument("--augmented", required=True)
-    p.add_argument("--hidden", type=hidden_sizes, default=",".join(map(str, HIDDEN_SIZES)))
+    p.add_argument("--hidden", type=hidden_sizes, default=HIDDEN_SIZES)
     _fields(p, harness.ExperimentConfig, "coupling", coupling={"choices": harness.ON_OFF})
     _fields(p, TrainConfig, *TRAIN_FIELDS, "validation_fraction", "seed")
     p.add_argument("--net-out", required=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config field check."""
 
 
 class KnockintError(Exception):
@@ -35,3 +35,10 @@ class GenerationError(KnockintError, RuntimeError):
 
 class ValidationError(KnockintError, ValueError):
     """Malformed external data (CSV ingestion, config files)."""
+
+
+def check_fields(cfg, rules):
+    """Raise a ConfigurationError naming the first ``(field, ok, want)`` rule not ``ok``."""
+    for name, ok, want in rules:
+        if not ok:
+            raise ConfigurationError(f"{name} must be {want}, got {getattr(cfg, name)!r}")

@@ -19,12 +19,13 @@ import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from math import inf
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .exceptions import ConfigurationError, KnockintError, ValidationError
+from .exceptions import ConfigurationError, KnockintError, ValidationError, check_fields
 from .fdr import build_gamma, interaction_threshold, write_selection_csv, write_selection_json
 from .importance import METHODS, AttributionConfig, compute_scores, write_scores_csv
 from .knockoff import fit_gaussian, sample_knockoffs, save_model, write_augmented_csv
@@ -32,7 +33,7 @@ from .metrics import EvalReport, aggregate, evaluate
 from .network import (HIDDEN_SIZES, TASKS, TrainConfig, check_hidden_sizes,
                       check_training_rows, init_network, save_network, train)
 from .simsuite import (Dataset, SimulationSpec, generate, held_out, read_dataset_csv,
-                       write_dataset_csv)
+                       training_rows, write_dataset_csv)
 from .table import write_json, write_table
 
 ON_OFF = ("on", "off")
@@ -54,15 +55,11 @@ def default_train_config() -> TrainConfig:
     return TrainConfig()
 
 
-def _expand(value, allowed):
-    if value == "both":
-        return list(allowed)
-    if value not in allowed:
-        raise ConfigurationError(f"expected one of {allowed + ('both',)}, got {value!r}")
-    return [value]
+def _expand(value, allowed) -> list:
+    return list(allowed) if value == "both" else [value]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     functions: list = field(default_factory=lambda: ["F1"])
     dataset: str | None = None          # external CSV instead of simulation
@@ -87,28 +84,24 @@ class ExperimentConfig:
     output_dir: str = "experiment_out"
     save_intermediates: bool = True
 
-    def validate(self):
-        if not 0 < self.q < 1:
-            raise ConfigurationError("q must lie in (0, 1)")
-        if self.repetitions < 1:
-            raise ConfigurationError("repetitions must be >= 1")
-        if not 0 < self.s_scale <= 1:
-            raise ConfigurationError("s_scale must lie in (0, 1]")
-        if self.task not in TASKS:
-            raise ConfigurationError(f"task must be one of {TASKS}, got {self.task!r}")
+    def __post_init__(self):
+        check_fields(self, (
+            ("q", 0 < self.q < 1, "in (0, 1)"),
+            ("repetitions", 1 <= self.repetitions < inf, "in [1, inf)"),
+            ("s_scale", 0 < self.s_scale <= 1, "in (0, 1]"),
+            ("ridge", 0 <= self.ridge < inf, "in [0, inf)"),
+            ("task", self.task in TASKS, f"one of {TASKS}"),
+            ("method", self.method in METHODS + ("both",), f"one of {METHODS} or 'both'"),
+            ("calibration", self.calibration in ON_OFF + ("both",), f"one of {ON_OFF} or 'both'"),
+            ("coupling", self.coupling in ON_OFF + ("both",), f"one of {ON_OFF} or 'both'")))
         check_hidden_sizes(self.hidden_sizes)
         if self.dataset is None:  # every function, before any cell runs
             if not self.functions:
                 raise ConfigurationError("functions is empty")
             for k, function_id in enumerate(self.functions):
-                SimulationSpec(function_id, self.n, self.p).validate()
+                SimulationSpec(function_id, self.n, self.p)
                 if function_id in self.functions[:k]:
                     raise ConfigurationError(f"functions names {function_id} twice")
-        self.train.validate()
-        self.attribution.validate()
-        _expand(self.method, METHODS)
-        _expand(self.calibration, ON_OFF)
-        _expand(self.coupling, ON_OFF)
 
     def to_dict(self):
         d = asdict(self)
@@ -212,12 +205,8 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
         save_model(model, rep_dir / "knockoff_model.npz")
         write_augmented_csv(rep_dir / "augmented.csv", dataset.X, X_ko)
 
-    methods = _expand(cfg.method, METHODS)
-    calibrations = _expand(cfg.calibration, ON_OFF)
-    couplings = _expand(cfg.coupling, ON_OFF)
-
     results = {}
-    for coupling in couplings:
+    for coupling in _expand(cfg.coupling, ON_OFF):
         seed_net = derive_seed(cfg.seed, function_id, rep, "net", coupling)
         net, trace = fit_network(dataset, X_aug, coupling, cfg.hidden_sizes,
                                  replace(cfg.train, seed=seed_net))
@@ -225,12 +214,12 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
             save_network(net, rep_dir / f"net_coupling_{coupling}.npz")
             write_json(rep_dir / f"trace_coupling_{coupling}.json", trace, compact=True)
 
-        for method in methods:
+        for method in _expand(cfg.method, METHODS):
             scores = compute_scores(net, method, attribution_data, cfg.attribution)
             if rep_dir is not None:
                 write_scores_csv(
                     rep_dir / f"scores_{method}_coupling_{coupling}.csv", scores)
-            for calibration in calibrations:
+            for calibration in _expand(cfg.calibration, ON_OFF):
                 S, gamma, selection = select_arm(scores, calibration, cfg.q)
                 arm = f"{method}|calibration_{calibration}|coupling_{coupling}"
                 entry = {"selection": selection.to_dict(),
@@ -299,12 +288,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     logged into the report and the run continues; any other exception
     propagates, and no worker process outlives the call.
     """
-    cfg.validate()
     dataset = None
-    n_train = int(round(0.5 * cfg.n))  # as generate splits a simulation
-    if cfg.dataset is not None:  # trains on the first half of its rows
+    n_train = training_rows(cfg.n)  # as generate splits a simulation
+    if cfg.dataset is not None:  # and a read dataset is split alike
         dataset = read_dataset_csv(cfg.dataset, None, cfg.response_column, cfg.task)
-        n_train = dataset.n_train = int(round(0.5 * len(dataset.y)))
+        n_train = dataset.n_train = training_rows(len(dataset.y))
     check_training_rows(cfg.train, n_train)  # every cell trains on n_train rows
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,11 @@ geometric mean of the two univariate magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
-from .exceptions import ConfigurationError, ContractViolation, ValidationError
+from .exceptions import ConfigurationError, ContractViolation, ValidationError, check_fields
 from .fdr import CLASSES, labelled_pairs
 from .network import CoupledNetwork, batch_input_gradient, batch_input_hessian, pull_back
 from .table import read_table, write_table
@@ -27,7 +28,17 @@ from .table import read_table, write_table
 METHODS = ("model_based", "instance_based")
 
 
-@dataclass
+def _is_baselines(value) -> bool:
+    """Whether ``value`` is ``"dataset_mean"`` or finite vectors."""
+    if isinstance(value, str):
+        return value == "dataset_mean"
+    try:
+        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+    except (TypeError, ValueError):  # ragged, or not numbers
+        return False
+
+
+@dataclass(frozen=True)
 class AttributionConfig:
     """Quadrature and aggregation knobs for instance-based scores."""
 
@@ -37,13 +48,13 @@ class AttributionConfig:
     sample_cap: int = 1000
     epsilon_floor: float = 1e-12
 
-    def validate(self):
-        if self.alpha_steps < 1 or self.beta_steps < 1:
-            raise ConfigurationError("quadrature steps must be >= 1")
-        if self.sample_cap < 1:
-            raise ConfigurationError("sample_cap must be >= 1")
-        if self.epsilon_floor <= 0:
-            raise ConfigurationError("epsilon_floor must be positive")
+    def __post_init__(self):
+        check_fields(self, (
+            ("alpha_steps", 1 <= self.alpha_steps < inf, "in [1, inf)"),
+            ("beta_steps", 1 <= self.beta_steps < inf, "in [1, inf)"),
+            ("baselines", _is_baselines(self.baselines), "'dataset_mean' or finite vectors"),
+            ("sample_cap", 1 <= self.sample_cap < inf, "in [1, inf)"),
+            ("epsilon_floor", 0 < self.epsilon_floor < inf, "in (0, inf)")))
 
 
 @dataclass
@@ -75,19 +86,6 @@ def model_based_1d(net: CoupledNetwork) -> np.ndarray:
     return pull_back(net, net.w[0] @ _aggregate_weights(net), (0,))
 
 
-def _resolve_baselines(cfg: AttributionConfig, X_aug: np.ndarray) -> np.ndarray:
-    if isinstance(cfg.baselines, str):
-        if cfg.baselines != "dataset_mean":
-            raise ConfigurationError(f"unknown baseline spec {cfg.baselines!r}")
-        return X_aug.mean(axis=0)[None, :]
-    baselines = np.asarray(cfg.baselines, dtype=float)
-    if baselines.ndim == 1:
-        baselines = baselines[None, :]
-    if baselines.shape[1] != X_aug.shape[1]:
-        raise ContractViolation("baseline length does not match augmented width")
-    return baselines
-
-
 def _midpoints(steps: int) -> np.ndarray:
     return (np.arange(steps) + 0.5) / steps
 
@@ -111,11 +109,13 @@ def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfi
     block; its largest arrays are ``(distinct points, hidden_sizes[1], d0)``.
     """
     cfg = cfg or AttributionConfig()
-    cfg.validate()
     X_aug = np.asarray(X_aug, dtype=float)
     if X_aug.ndim != 2:
         raise ContractViolation("X_aug must be 2-D")
-    baselines = _resolve_baselines(cfg, X_aug)
+    baselines = np.atleast_2d(X_aug.mean(axis=0) if isinstance(cfg.baselines, str)
+                              else np.asarray(cfg.baselines, dtype=float))
+    if baselines.shape[1] != X_aug.shape[1]:
+        raise ContractViolation("baseline length does not match augmented width")
     t, counts = np.unique(grid(cfg), return_counts=True)
     weights = counts / counts.sum()
     total = weight(np.zeros(X_aug.shape[1]))   # zeros in the result's shape
@@ -139,9 +139,10 @@ def instance_based_2d(net: CoupledNetwork, X_aug: np.ndarray,
     contributions are summed over samples (up to ``sample_cap``) and averaged
     over baselines. The grid's mean Hessian is taken once per distinct
     product a*b (446 of 1,024 on the 32 x 32 default), each weighted by how
-    often it occurs; the integrand carries no a*b weight.
+    often it occurs; the integrand carries no a*b weight. Each term, a
+    symmetric ``outer(dx, dx)`` times a symmetric mean Hessian, is symmetric.
     """
-    total = _path_integral(
+    return _path_integral(
         net, X_aug, cfg,
         lambda c: np.outer(_midpoints(c.alpha_steps), _midpoints(c.beta_steps)).ravel(),
         # The mean Hessian goes through batch_input_hessian, the name that
@@ -149,7 +150,6 @@ def instance_based_2d(net: CoupledNetwork, X_aug: np.ndarray,
         lambda net, points, weights: batch_input_hessian(net, points, mean=True,
                                                          weights=weights),
         lambda dx: np.outer(dx, dx), "Hessian")
-    return (total + total.T) / 2.0
 
 
 def instance_based_1d(net: CoupledNetwork, X_aug: np.ndarray,
@@ -172,8 +172,8 @@ def calibrate(s2d: np.ndarray, s1d: np.ndarray, epsilon_floor: float = 1e-12) ->
     """Divide |s2d[i,j]| by sqrt(|s1d[i] * s1d[j]|), floored to stay finite."""
     s2d = np.asarray(s2d, dtype=float)
     s1d = np.asarray(s1d, dtype=float)
-    if epsilon_floor <= 0:
-        raise ConfigurationError("epsilon_floor must be positive")
+    if not 0 < epsilon_floor < inf:
+        raise ConfigurationError(f"epsilon_floor must be in (0, inf), got {epsilon_floor!r}")
     if s2d.shape != (s1d.shape[0], s1d.shape[0]):
         raise ContractViolation("s2d/s1d dimensions do not match")
     denom = np.sqrt(np.maximum(np.abs(np.outer(s1d, s1d)), epsilon_floor))

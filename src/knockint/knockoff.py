@@ -15,6 +15,7 @@ Sampling never sees the response, by construction of the interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from math import inf
 
 import numpy as np
 
@@ -92,8 +93,8 @@ def fit_gaussian(X: np.ndarray, ridge: float = 0.0,
         raise ContractViolation(f"need an n x p matrix with n >= 2, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ContractViolation("X must be finite")
-    if ridge < 0:
-        raise ConfigurationError("ridge must be nonnegative")
+    if not 0 <= ridge < inf:
+        raise ConfigurationError(f"ridge must be in [0, inf), got {ridge!r}")
     if not 0 < s_scale <= 1:
         raise ConfigurationError("s_scale must lie in (0, 1]")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
@@ -129,6 +130,8 @@ def sample_knockoffs(X: np.ndarray, model: GaussianKnockoffModel, seed: int = 0)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.p:
         raise ContractViolation(f"X has shape {X.shape}, model expects p={model.p}")
+    if not 0 <= seed:
+        raise ConfigurationError(f"seed must be in [0, inf), got {seed!r}")
     centered = X - model.mu
     cond_mean = model.mu + centered @ model.cond_mean_map.T
     rng = np.random.default_rng(seed)

@@ -36,11 +36,12 @@ and ``train`` is bit-identical to the reference loop kept in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigurationError, ContractViolation, TrainingDivergedError
+from .exceptions import ConfigurationError, ContractViolation, TrainingDivergedError, check_fields
 from .table import load_npz, save_npz
 
 TASKS = ("regression", "binary")
@@ -61,7 +62,7 @@ def _sigmoid(u):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for mini-batch Adam training; the defaults are the
     experiment protocol's profile, which every entry point shares."""
@@ -77,21 +78,17 @@ class TrainConfig:
     grad_clip: float | None = 1.0
     validation_fraction: float = 0.0
 
-    def validate(self):
-        if self.l1_mlp_penalty < 0:
-            raise ConfigurationError("l1_mlp_penalty must be nonnegative")
-        if self.grad_clip is not None and self.grad_clip <= 0:
-            raise ConfigurationError("grad_clip must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ConfigurationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.l1_filter_penalty < 0:
-            raise ConfigurationError("l1_filter_penalty must be nonnegative")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ConfigurationError("validation_fraction must be in [0, 1)")
+    def __post_init__(self):
+        check_fields(self, (
+            ("learning_rate", 0 < self.learning_rate < inf, "in (0, inf)"),
+            ("epochs", 1 <= self.epochs < inf, "in [1, inf)"),
+            ("batch_size", 1 <= self.batch_size < inf, "in [1, inf)"),
+            ("seed", 0 <= self.seed < inf, "in [0, inf)"),
+            ("l1_filter_penalty", 0 <= self.l1_filter_penalty < inf, "in [0, inf)"),
+            ("l1_mlp_penalty", 0 <= self.l1_mlp_penalty < inf, "in [0, inf)"),
+            ("grad_clip", self.grad_clip is None or 0 < self.grad_clip < inf,
+             "None or in (0, inf)"),
+            ("validation_fraction", 0 <= self.validation_fraction < 1, "in [0, 1)")))
 
 
 @dataclass
@@ -417,7 +414,6 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     Raises :class:`TrainingDivergedError` if the loss ever goes non-finite.
     """
     cfg = cfg or TrainConfig()
-    cfg.validate()
     X_aug = _checked_input(net, X_aug)
     y = np.asarray(y, dtype=float)
     if X_aug.shape[0] != y.shape[0]:

@@ -11,10 +11,11 @@ suite reruns.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import inf
 
 import numpy as np
 
-from .exceptions import ConfigurationError, GenerationError, ValidationError
+from .exceptions import ConfigurationError, GenerationError, ValidationError, check_fields
 from .network import TASKS
 from .table import index_pairs, read_json, read_table, write_json, write_table
 
@@ -118,23 +119,30 @@ _KINK_GUARDS = {
 }
 
 
-@dataclass
+TRAIN_FRACTION = 0.5  # the share of rows a simulated or ``run --dataset`` dataset trains on
+
+
+def training_rows(n: int, train_fraction: float = TRAIN_FRACTION) -> int:
+    """How many of ``n`` rows train: the first ``round(train_fraction * n)``."""
+    return int(round(train_fraction * n))
+
+
+@dataclass(frozen=True)
 class SimulationSpec:
     function_id: str
     n: int = 20000
     p: int = 30
     seed: int = 0
-    train_fraction: float = 0.5
+    train_fraction: float = TRAIN_FRACTION
 
-    def validate(self):
+    def __post_init__(self):
         if not isinstance(self.function_id, str) or self.function_id not in FUNCTIONS:
             raise ConfigurationError(f"unknown function id {self.function_id!r}")
-        if self.p < 10:
-            raise ConfigurationError("p must be >= 10 (functions read x1..x10)")
-        if self.n < 2:
-            raise ConfigurationError("n must be >= 2")
-        if not 0 < self.train_fraction < 1:
-            raise ConfigurationError("train_fraction must be in (0, 1)")
+        check_fields(self, (
+            ("p", 10 <= self.p < inf, "in [10, inf) (functions read x1..x10)"),
+            ("n", 2 <= self.n < inf, "in [2, inf)"),
+            ("seed", 0 <= self.seed < inf, "in [0, inf)"),
+            ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")))
 
 
 @dataclass
@@ -169,14 +177,13 @@ def evaluate_function(function_id: str, X: np.ndarray) -> np.ndarray:
 
 def generate(spec: SimulationSpec) -> Dataset:
     """Sample a benchmark dataset; deterministic per seed."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     X = rng.uniform(size=(spec.n, spec.p))
     y = evaluate_function(spec.function_id, X)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise GenerationError(f"non-finite response at row {bad[0]}")
-    return Dataset(X=X, y=y, n_train=int(round(spec.train_fraction * spec.n)),
+    return Dataset(X=X, y=y, n_train=training_rows(spec.n, spec.train_fraction),
                    ground_truth=set(GROUND_TRUTH_PAIRS[spec.function_id]))
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,22 +35,26 @@ def _tiny_cfg(tmp_path, **kw):
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(q=0.0).validate()
+        ExperimentConfig(q=0.0)
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(repetitions=0).validate()
+        ExperimentConfig(repetitions=0)
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(s_scale=0.0).validate()
+        ExperimentConfig(s_scale=0.0)
     with pytest.raises(ConfigurationError):
-        ExperimentConfig(method="nope").validate()
+        ExperimentConfig(method="nope")
     with pytest.raises(ConfigurationError, match="'F11'"):
-        ExperimentConfig(functions=["F6", "F11"]).validate()
-    with pytest.raises(ConfigurationError, match="p must be >= 10"):
-        ExperimentConfig(p=9).validate()
-    with pytest.raises(ConfigurationError, match="n must be >= 2"):
-        ExperimentConfig(n=1).validate()
-    ExperimentConfig(method="both", calibration="both", coupling="both").validate()
+        ExperimentConfig(functions=["F6", "F11"])
+    with pytest.raises(ConfigurationError, match=re.escape("p must be in [10, inf)")):
+        ExperimentConfig(p=9)
+    with pytest.raises(ConfigurationError, match=re.escape("n must be in [2, inf)")):
+        ExperimentConfig(n=1)
+    with pytest.raises(ConfigurationError, match="q must be"):
+        replace(ExperimentConfig(), q=1.0)  # replace makes a new config, checked alike
+    with pytest.raises(FrozenInstanceError):
+        ExperimentConfig().q = 0.0
+    ExperimentConfig(method="both", calibration="both", coupling="both")
     # an external dataset has no benchmark function to check
-    ExperimentConfig(dataset="x.csv", functions=["F11"], p=3).validate()
+    ExperimentConfig(dataset="x.csv", functions=["F11"], p=3)
 
 
 def test_config_roundtrip():
@@ -434,6 +439,21 @@ MALFORMED_INPUTS = {
     "run_dataset_covariance_overflow": ("run --dataset {d}/huge.csv --repetitions 1 "
                                         "--batch-size 16 --no-intermediates "
                                         "--out {d}/huge_out", "covariance"),
+    "knockoff_ridge_nan": ("knockoff --data {d}/data.csv --ridge nan --augmented-out {d}/x.csv "
+                           "--model-out {d}/x.npz", "ridge"),
+    "score_model_based_bad_attribution": ("score --net {d}/net.npz --augmented {d}/aug.csv "
+                                          "--method model_based --alpha-steps -3 "
+                                          "--sample-cap 0 --out {d}/x.csv", "alpha_steps"),
+    "simulate_seed_negative": ("simulate --function F6 --p 10 --n 60 --seed -1 "
+                               "--out {d}/x.csv", "seed"),
+    "knockoff_seed_negative": ("knockoff --data {d}/data.csv --seed -1 "
+                               "--augmented-out {d}/x.csv --model-out {d}/x.npz", "seed"),
+    "train_seed_negative": ("train --data {d}/data.csv --augmented {d}/aug.csv --seed -1 "
+                            "--batch-size 16 --epochs 1 --net-out {d}/x.npz", "seed"),
+    "train_hidden_zero": ("train --data {d}/data.csv --augmented {d}/aug.csv --hidden 64,0,16 "
+                          "--batch-size 16 --epochs 1 --net-out {d}/x.npz", "hidden sizes"),
+    "run_grad_clip_nan": ("run --functions F6 --p 10 --n 60 --repetitions 1 --epochs 1 "
+                          "--grad-clip nan --no-intermediates --out {d}/nan_out", "grad_clip"),
 }
 
 # Entries that spoil the 60-row dataset's manifest, each read by every stage
@@ -518,15 +538,16 @@ def test_cli_malformed_input_exit_code(case, malformed_dir, capsys):
     assert named in err, err
 
 
-@pytest.mark.parametrize("hidden", [["a", 2, 3], [8.7, 4, 2], [64, 0, 16]],
-                         ids=["text", "float", "zero"])
+@pytest.mark.parametrize("hidden", [["a", 2, 3], [8.7, 4, 2], [64, 0, 16], [64, np.nan, 16],
+                                    [64, np.inf, 16]],
+                         ids=["text", "float", "zero", "nan", "inf"])
 def test_cli_run_config_bad_hidden_sizes_exit_code(hidden, tmp_path, capsys):
-    # Rejected by ExperimentConfig.validate, before any cell runs.
+    # Rejected when the ExperimentConfig is made, before any cell runs.
     out = tmp_path / "exp"
     cfg = {"functions": ["F6"], "n": 200, "p": 10, "repetitions": 1, "train": {"epochs": 1},
            "save_intermediates": False, "hidden_sizes": hidden, "output_dir": str(out)}
     with pytest.raises(ConfigurationError, match="hidden sizes"):
-        ExperimentConfig.from_dict(cfg).validate()
+        ExperimentConfig.from_dict(cfg)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     capsys.readouterr()
     assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
@@ -541,13 +562,13 @@ def test_cli_run_config_bad_hidden_sizes_exit_code(hidden, tmp_path, capsys):
                                              ([["F1"]], "unknown function id ['F1']")],
                          ids=["repeated", "empty", "not_a_string"])
 def test_cli_run_config_bad_functions_exit_code(functions, named, tmp_path, capsys):
-    # Rejected by ExperimentConfig.validate, before any cell runs: a repeated
+    # Rejected when the ExperimentConfig is made, before any cell runs: a repeated
     # id would run one cell twice into one directory, and none would run nothing.
     out = tmp_path / "exp"
     cfg = {"functions": functions, "n": 200, "p": 10, "repetitions": 1, "train": {"epochs": 1},
            "save_intermediates": False, "output_dir": str(out)}
     with pytest.raises(ConfigurationError, match=re.escape(named)):
-        ExperimentConfig.from_dict(cfg).validate()
+        ExperimentConfig.from_dict(cfg)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     capsys.readouterr()
     assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
@@ -555,6 +576,64 @@ def test_cli_run_config_bad_functions_exit_code(functions, named, tmp_path, caps
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err
     assert not (out / "report.json").exists()
+
+
+# Every settable numeric field of the four configs, with values outside its
+# range; NaN and both infinities are tried for each as well. The last entry is
+# the field's path in a ``run --config`` file, or None where a run has no such
+# field. ExperimentConfig.seed is absent: derive_seed hashes any int. Its
+# hidden_sizes has its own test above.
+CONFIG_RANGES = [
+    (ExperimentConfig, "q", (0, 1, -0.5), "q"),
+    (ExperimentConfig, "repetitions", (0, -1), "repetitions"),
+    (ExperimentConfig, "s_scale", (0, 1.5), "s_scale"),
+    (ExperimentConfig, "ridge", (-1e-6,), "ridge"),
+    (SimulationSpec, "n", (1, 0), "n"),
+    (SimulationSpec, "p", (9, -1), "p"),
+    (SimulationSpec, "seed", (-1,), None),
+    (SimulationSpec, "train_fraction", (0, 1, 1.5), None),
+    (TrainConfig, "learning_rate", (0, -1e-3), "train.learning_rate"),
+    (TrainConfig, "epochs", (0, -1), "train.epochs"),
+    (TrainConfig, "batch_size", (0,), "train.batch_size"),
+    (TrainConfig, "seed", (-1,), "train.seed"),
+    (TrainConfig, "l1_filter_penalty", (-1e-4,), "train.l1_filter_penalty"),
+    (TrainConfig, "l1_mlp_penalty", (-5e-4,), "train.l1_mlp_penalty"),
+    (TrainConfig, "grad_clip", (0, -1.0), "train.grad_clip"),
+    (TrainConfig, "validation_fraction", (1, -0.1), "train.validation_fraction"),
+    (AttributionConfig, "alpha_steps", (0, -3), "attribution.alpha_steps"),
+    (AttributionConfig, "beta_steps", (0,), "attribution.beta_steps"),
+    (AttributionConfig, "sample_cap", (0,), "attribution.sample_cap"),
+    (AttributionConfig, "epsilon_floor", (0, -1e-12), "attribution.epsilon_floor"),
+    (AttributionConfig, "baselines", ("median", [[0.0, np.nan]]), "attribution.baselines"),
+]
+CONFIG_RANGE_CASES = [(cls, name, value, path) for cls, name, values, path in CONFIG_RANGES
+                      for value in values + (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("cls, name, value, path", CONFIG_RANGE_CASES,
+                         ids=[f"{c.__name__}.{n}={v}" for c, n, v, _ in CONFIG_RANGE_CASES])
+def test_config_out_of_range_value_stops_before_any_cell(cls, name, value, path, tmp_path,
+                                                         capsys):
+    required = {"function_id": "F1"} if cls is SimulationSpec else {}
+    with pytest.raises(ConfigurationError, match=name):
+        cls(**required, **{name: value})
+    if path is None:
+        return
+    out = tmp_path / "exp"
+    cfg = {"functions": ["F6"], "n": 200, "p": 10, "repetitions": 1, "train": {"epochs": 1},
+           "save_intermediates": False, "output_dir": str(out)}
+    *parents, leaf = path.split(".")
+    entries = cfg
+    for parent in parents:
+        entries = entries.setdefault(parent, {})
+    entries[leaf] = value
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))  # NaN and Infinity included
+    capsys.readouterr()
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert name in err, err
+    assert not out.exists()
 
 
 def test_config_from_dict_checks_nested_fields_and_types():
@@ -565,10 +644,10 @@ def test_config_from_dict_checks_nested_fields_and_types():
         with pytest.raises(ValidationError, match="config field"):
             ExperimentConfig.from_dict(bad)
     cfg = ExperimentConfig.from_dict({
-        "q": 0, "dataset": "x.csv", "hidden_sizes": [4, 3, 2],
+        "s_scale": 1, "dataset": "x.csv", "hidden_sizes": [4, 3, 2],
         "train": {"learning_rate": 1, "grad_clip": None},
         "attribution": {"baselines": [[0.0, 0.0]]}})
-    assert cfg.q == 0 and cfg.hidden_sizes == (4, 3, 2)
+    assert cfg.s_scale == 1 and cfg.hidden_sizes == (4, 3, 2)
     assert cfg.train == TrainConfig(learning_rate=1, grad_clip=None)
     assert cfg.attribution == AttributionConfig(baselines=[[0.0, 0.0]])
 
@@ -803,6 +882,6 @@ def test_cli_options_and_defaults_come_from_configs(command):
             default = getattr(config, name)
             assert getattr(args, name) == default and type(getattr(args, name)) is type(default), name
     if command == "train":
-        assert args.hidden == ",".join(map(str, ExperimentConfig().hidden_sizes))
+        assert args.hidden == ExperimentConfig().hidden_sizes
     if command == "run":
         assert args.functions == ",".join(ExperimentConfig().functions)

@@ -258,10 +258,11 @@ def test_instance_2d_takes_one_hessian_call_per_sample_and_baseline(monkeypatch)
 
 
 def test_attribution_config_validation():
-    for bad in (AttributionConfig(alpha_steps=0), AttributionConfig(beta_steps=0),
-                AttributionConfig(epsilon_floor=0.0), AttributionConfig(sample_cap=0)):
-        with pytest.raises(ConfigurationError):
-            bad.validate()
+    for bad in ({"alpha_steps": 0}, {"beta_steps": 0}, {"epsilon_floor": 0.0},
+                {"sample_cap": 0}, {"baselines": "median"}, {"baselines": [[0.0, np.nan]]},
+                {"baselines": [[0.0], [0.0, 1.0]]}):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            AttributionConfig(**bad)
 
 
 # ---------------------------------------------------------------- calibration

@@ -514,12 +514,11 @@ def test_train_binary_task():
 
 
 def test_train_config_validation():
-    for bad in (TrainConfig(learning_rate=0.0), TrainConfig(epochs=0),
-                TrainConfig(batch_size=0), TrainConfig(l1_filter_penalty=-1.0),
-                TrainConfig(l1_mlp_penalty=-1.0), TrainConfig(grad_clip=0.0),
-                TrainConfig(validation_fraction=1.0)):
-        with pytest.raises(ConfigurationError):
-            bad.validate()
+    for bad in ({"learning_rate": 0.0}, {"epochs": 0}, {"batch_size": 0},
+                {"l1_filter_penalty": -1.0}, {"l1_mlp_penalty": -1.0}, {"grad_clip": 0.0},
+                {"validation_fraction": 1.0}):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            TrainConfig(**bad)
 
 
 def test_validation_trace_present():

@@ -65,11 +65,11 @@ def test_all_functions_finite_everywhere():
 
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
-        SimulationSpec("F1", p=9).validate()
+        SimulationSpec("F1", p=9)
     with pytest.raises(ConfigurationError):
-        SimulationSpec("F1", n=1).validate()
+        SimulationSpec("F1", n=1)
     with pytest.raises(ConfigurationError):
-        SimulationSpec("F99").validate()
+        SimulationSpec("F99")
 
 
 def test_ground_truth_paper_worked_example():

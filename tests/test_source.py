@@ -4,11 +4,16 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import knockint
+from knockint.harness import ExperimentConfig
+from knockint.importance import AttributionConfig
+from knockint.network import TrainConfig
+from knockint.simsuite import SimulationSpec
 
 SOURCES = sorted(p for p in Path(knockint.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")  # __init__ imports to re-export
@@ -297,3 +302,54 @@ def test_cli_calls_no_stage_rule_directly():
     # a repetition's saved files rerun stage by stage to the same bytes.
     cli = Path(knockint.__file__).parent / "cli.py"
     assert stage_rule_calls(cli.read_text()) == []
+
+
+def validate_uses(source: str) -> list:
+    """Lines that define or call a function or method named ``validate``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef) and node.name == "validate"
+                  or isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "validate")
+
+
+def test_validate_uses_detected():
+    source = ("cfg.validate()\nvalidate(x)\nf = cfg.validate\nclass C:\n"
+              "    def validate(self):\n        pass\ncfg.validated()\n")
+    assert validate_uses(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_defines_or_calls_validate(path):
+    # A config checks itself when it is made, so no stage has a check to
+    # call, or to forget.
+    assert validate_uses(path.read_text()) == []
+
+
+def unchecked_configs(classes) -> list:
+    """Names of the dataclasses in ``classes`` that are not frozen, or that
+    define no ``__post_init__`` to check themselves when made."""
+    return [cls.__name__ for cls in classes
+            if not (cls.__dataclass_params__.frozen and "__post_init__" in vars(cls))]
+
+
+def test_unchecked_configs_detected():
+    @dataclass
+    class Mutable:
+        def __post_init__(self):
+            pass
+
+    @dataclass(frozen=True)
+    class Unchecked:
+        pass
+
+    @dataclass(frozen=True)
+    class Checked:
+        def __post_init__(self):
+            pass
+
+    assert unchecked_configs([Mutable, Unchecked, Checked]) == ["Mutable", "Unchecked"]
+
+
+def test_configs_are_frozen_and_check_themselves():
+    configs = [SimulationSpec, TrainConfig, AttributionConfig, ExperimentConfig]
+    assert unchecked_configs(configs) == []
