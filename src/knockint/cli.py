@@ -74,8 +74,7 @@ def hidden_sizes(text: str) -> tuple:
 
 
 def cmd_simulate(args):
-    spec = SimulationSpec(function_id=args.function,
-                          **_picked(args, "n", "p", "seed", "train_fraction"))
+    spec = SimulationSpec(function_id=args.function, **_picked(args, "n", "p", "seed"))
     dataset = generate(spec)
     out = _out(args.out)
     manifest = _out(args.manifest) if args.manifest else _manifest_for(out)
@@ -98,10 +97,10 @@ def cmd_knockoff(args):
 
 
 def cmd_train(args):
-    cfg = TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction", "seed"))
+    cfg = TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction"))
     dataset = _read_data(args)
     X_aug = _read_augmented(args.augmented, *dataset.X.shape, args.data)
-    net, trace = harness.fit_network(dataset, X_aug, args.coupling, args.hidden, cfg)
+    net, trace = harness.fit_network(dataset, X_aug, args.coupling, args.hidden, cfg, args.seed)
     net_out = _out(args.net_out)
     save_network(net, net_out)
     if args.trace_out:
@@ -164,8 +163,6 @@ def cmd_run(args):
             train=TrainConfig(**_picked(args, *TRAIN_FIELDS)),
             save_intermediates=not args.no_intermediates,
         )
-        if args.paper_scale:
-            cfg = dataclasses.replace(cfg, n=20000, repetitions=20)
     cfg = dataclasses.replace(cfg, output_dir=str(_out(args.out or cfg.output_dir)))
     report = harness.run_experiment(cfg)
     n_err = len(report["errors"])
@@ -196,7 +193,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a benchmark dataset CSV")
     p.add_argument("--function", required=True)
-    _fields(p, SimulationSpec, "n", "p", "seed", "train_fraction")
+    _fields(p, SimulationSpec, "n", "p", "seed")
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
     p.set_defaults(func=cmd_simulate)
@@ -218,7 +215,8 @@ def build_parser() -> _Parser:
     p.add_argument("--augmented", required=True)
     p.add_argument("--hidden", type=hidden_sizes, default=HIDDEN_SIZES)
     _fields(p, harness.ExperimentConfig, "coupling", coupling={"choices": harness.ON_OFF})
-    _fields(p, TrainConfig, *TRAIN_FIELDS, "validation_fraction", "seed")
+    _fields(p, TrainConfig, *TRAIN_FIELDS, "validation_fraction")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--net-out", required=True)
     p.add_argument("--trace-out")
     p.set_defaults(func=cmd_train)
@@ -249,7 +247,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="full pipeline with repetitions")
-    p.add_argument("--config", help="JSON experiment config (overrides flags)")
+    _run_options(p)
+    p.set_defaults(func=cmd_run)
+    return parser
+
+
+def _run_options(p):
+    """Add the ``run`` options to ``p``."""
+    p.add_argument("--config", help="JSON experiment config; no option but --out "
+                                    "may be given with it")
     _fields(p, harness.ExperimentConfig, "functions")
     p.add_argument("--dataset", help="external CSV instead of simulation")
     p.add_argument("--response-column")
@@ -260,17 +266,31 @@ def build_parser() -> _Parser:
             coupling={"choices": harness.ON_OFF + ("both",)})
     _fields(p, TrainConfig, *TRAIN_FIELDS)
     _fields(p, harness.ExperimentConfig, "s_scale", "seed")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="n=20000 and 20 repetitions")
     p.add_argument("--no-intermediates", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_run)
-    return parser
+
+
+def _check_config_alone(argv):
+    """Exit 1 when the ``run`` arguments ``argv`` give ``--config`` with any
+    option but ``--out``, which the file's settings would silently replace.
+    ``argv`` is parsed again with every default None, so an option counts as
+    given even at its default value."""
+    p = _Parser(prog="knockint run")
+    _run_options(p)
+    p.set_defaults(**dict.fromkeys(vars(p.parse_args([])), None))
+    given = [dest for dest, value in vars(p.parse_args(argv)).items()
+             if value is not None and dest not in ("config", "out")]
+    if given:
+        p.error("--config takes every setting from its file; it cannot be given with "
+                + ", ".join("--" + dest.replace("_", "-") for dest in given))
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and args.config:
+        _check_config_alone(argv[1:])  # argv[0] is "run"
     try:
         args.func(args)
     except (KnockintError, OSError, FloatingPointError) as exc:

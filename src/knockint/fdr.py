@@ -165,13 +165,15 @@ def feature_threshold(W: np.ndarray, q: float) -> SelectionResult:
 
 
 def write_selection_csv(path, gamma, result: SelectionResult):
-    """Per-pair export by descending score: 1-based indices, class, score, selected flag."""
+    """Per-pair export by descending score: 1-based indices, class, score, and a
+    selected flag on the OO pairs at or above the threshold, the pairs
+    ``interaction_threshold`` selects from ``gamma``."""
     g = gamma[np.lexsort((gamma["j"], gamma["i"], -gamma["score"]))]
-    width = int(g["j"].max()) + 1 if g.size else 0  # pair (i, j) has key i * width + j
-    chosen = np.array([i * width + j for i, j in result.selected], dtype=np.intp)
+    selected = ((g["n_ko"] == 0) & (g["score"] >= result.threshold) if result.feasible
+                else np.zeros(g.size, dtype=bool))
     write_table(path, ["i", "j", "class", "score", "selected"],
                 [g["i"] + 1, g["j"] + 1, np.array(CLASSES)[g["n_ko"]], g["score"],
-                 np.isin(g["i"] * width + g["j"], chosen).astype(int)])
+                 selected.astype(int)])
 
 
 def write_selection_json(path, result: SelectionResult):

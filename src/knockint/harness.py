@@ -5,8 +5,9 @@ Each stage's rule (``make_knockoffs``, ``fit_network``, ``select_arm``,
 ``score_selection``) is one function here, called both by a repetition and
 by the matching CLI stage command. Within a repetition the stages pass
 arrays in memory; with ``save_intermediates`` on, each repetition also
-writes its dataset, manifest and every stage's output to its own directory,
-simulated or external, so any stage reruns from those files. Per-repetition
+writes every stage's output, and a simulation its dataset and manifest, to
+its own directory, so any stage reruns from those files (``run --dataset``
+writes its one dataset and manifest to the run's directory). Per-repetition
 seeds hash (master seed, function, repetition); a run spreads its cells over
 one process per usable CPU and writes the same bytes as a serial run.
 """
@@ -18,7 +19,7 @@ import multiprocessing
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass
 from math import inf
 from pathlib import Path
 
@@ -102,6 +103,7 @@ class ExperimentConfig:
                 SimulationSpec(function_id, self.n, self.p)
                 if function_id in self.functions[:k]:
                     raise ConfigurationError(f"functions names {function_id} twice")
+            self.attribution.check_baselines(2 * self.p)
 
     def to_dict(self):
         d = asdict(self)
@@ -160,11 +162,11 @@ def make_knockoffs(dataset: Dataset, ridge: float, s_scale: float, seed: int) ->
     return model, sample_knockoffs(dataset.X, model, seed=seed)
 
 
-def fit_network(dataset: Dataset, X_aug, coupling: str, hidden_sizes, train_cfg) -> tuple:
-    """``(net, trace)``: a network seeded by ``train_cfg``, trained on the training rows."""
+def fit_network(dataset: Dataset, X_aug, coupling: str, hidden_sizes, train_cfg, seed) -> tuple:
+    """``(net, trace)``: a network drawn and trained from ``seed`` on the training rows."""
     net = init_network(dataset.X.shape[1], hidden_sizes=hidden_sizes, task=dataset.task,
-                       seed=train_cfg.seed, coupling=(coupling == "on"))
-    return train(net, X_aug[:dataset.n_train], dataset.train[1], train_cfg)
+                       seed=seed, coupling=(coupling == "on"))
+    return train(net, X_aug[:dataset.n_train], dataset.train[1], train_cfg, seed)
 
 
 def select_arm(scores, calibration: str, q: float) -> tuple:
@@ -184,8 +186,9 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
                    rep_dir: Path | None = None, dataset: Dataset | None = None) -> dict:
     """Full pipeline for one (function, repetition) cell; returns arm results.
 
-    ``dataset`` is ``cfg.dataset`` already read, so that a run reads the file
-    once; without ``cfg.dataset`` the cell simulates its own.
+    ``dataset`` is ``cfg.dataset`` already read, so that a run reads and
+    writes the file once; without ``cfg.dataset`` the cell simulates its own
+    and writes it to ``rep_dir``.
     """
     seed_data = derive_seed(cfg.seed, function_id, rep, "data")
     seed_ko = derive_seed(cfg.seed, function_id, rep, "knockoff")
@@ -201,15 +204,15 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
 
     if rep_dir is not None:
         rep_dir.mkdir(parents=True, exist_ok=True)
-        write_dataset_csv(rep_dir / "dataset.csv", dataset, rep_dir / "manifest.json", spec)
+        if spec is not None:
+            write_dataset_csv(rep_dir / "dataset.csv", dataset, rep_dir / "manifest.json", spec)
         save_model(model, rep_dir / "knockoff_model.npz")
         write_augmented_csv(rep_dir / "augmented.csv", dataset.X, X_ko)
 
     results = {}
     for coupling in _expand(cfg.coupling, ON_OFF):
         seed_net = derive_seed(cfg.seed, function_id, rep, "net", coupling)
-        net, trace = fit_network(dataset, X_aug, coupling, cfg.hidden_sizes,
-                                 replace(cfg.train, seed=seed_net))
+        net, trace = fit_network(dataset, X_aug, coupling, cfg.hidden_sizes, cfg.train, seed_net)
         if rep_dir is not None:
             save_network(net, rep_dir / f"net_coupling_{coupling}.npz")
             write_json(rep_dir / f"trace_coupling_{coupling}.json", trace, compact=True)
@@ -282,8 +285,10 @@ def _run_cells(cells) -> list:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute every (function, repetition) cell and write the report files.
 
-    ``cfg.dataset`` is read and validated once, and the training rows every
-    cell will have are checked against ``cfg.train``, before any cell runs. A
+    ``cfg.dataset`` is read, validated, checked against ``cfg.attribution``
+    and, with intermediates, written to ``cfg.output_dir`` once, and the
+    training rows every cell will have are checked against ``cfg.train``,
+    before any cell runs. A
     repetition that fails with a ``KnockintError`` or a numeric failure is
     logged into the report and the run continues; any other exception
     propagates, and no worker process outlives the call.
@@ -293,9 +298,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.dataset is not None:  # and a read dataset is split alike
         dataset = read_dataset_csv(cfg.dataset, None, cfg.response_column, cfg.task)
         n_train = dataset.n_train = training_rows(len(dataset.y))
+        cfg.attribution.check_baselines(2 * dataset.X.shape[1])
     check_training_rows(cfg.train, n_train)  # every cell trains on n_train rows
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    if dataset is not None and cfg.save_intermediates:
+        write_dataset_csv(outdir / "dataset.csv", dataset, outdir / "manifest.json")
 
     function_ids = cfg.functions if cfg.dataset is None else ["external"]
     report = {

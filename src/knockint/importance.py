@@ -27,6 +27,8 @@ from .table import read_table, write_table
 
 METHODS = ("model_based", "instance_based")
 
+EPSILON_FLOOR = 1e-12  # calibrate's floor on |s1d[i] * s1d[j]|
+
 
 def _is_baselines(value) -> bool:
     """Whether ``value`` is ``"dataset_mean"`` or finite vectors."""
@@ -46,15 +48,23 @@ class AttributionConfig:
     beta_steps: int = 32
     baselines: object = "dataset_mean"   # or a list of length-2p vectors
     sample_cap: int = 1000
-    epsilon_floor: float = 1e-12
 
     def __post_init__(self):
         check_fields(self, (
             ("alpha_steps", 1 <= self.alpha_steps < inf, "in [1, inf)"),
             ("beta_steps", 1 <= self.beta_steps < inf, "in [1, inf)"),
             ("baselines", _is_baselines(self.baselines), "'dataset_mean' or finite vectors"),
-            ("sample_cap", 1 <= self.sample_cap < inf, "in [1, inf)"),
-            ("epsilon_floor", 0 < self.epsilon_floor < inf, "in (0, inf)")))
+            ("sample_cap", 1 <= self.sample_cap < inf, "in [1, inf)")))
+
+    def check_baselines(self, width: int):
+        """Raise a ConfigurationError unless the baselines are ``"dataset_mean"``
+        or vectors of length ``width``, the augmented width 2p."""
+        if isinstance(self.baselines, str):
+            return
+        shape = np.atleast_2d(np.asarray(self.baselines, dtype=float)).shape
+        if shape[1:] != (width,):
+            raise ConfigurationError(f"attribution.baselines must be vectors of length "
+                                     f"2p = {width}, got shape {shape}")
 
 
 @dataclass
@@ -112,10 +122,9 @@ def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfi
     X_aug = np.asarray(X_aug, dtype=float)
     if X_aug.ndim != 2:
         raise ContractViolation("X_aug must be 2-D")
+    cfg.check_baselines(X_aug.shape[1])
     baselines = np.atleast_2d(X_aug.mean(axis=0) if isinstance(cfg.baselines, str)
                               else np.asarray(cfg.baselines, dtype=float))
-    if baselines.shape[1] != X_aug.shape[1]:
-        raise ContractViolation("baseline length does not match augmented width")
     t, counts = np.unique(grid(cfg), return_counts=True)
     weights = counts / counts.sum()
     total = weight(np.zeros(X_aug.shape[1]))   # zeros in the result's shape
@@ -168,15 +177,14 @@ def instance_based_1d(net: CoupledNetwork, X_aug: np.ndarray,
         lambda dx: dx, "gradient")
 
 
-def calibrate(s2d: np.ndarray, s1d: np.ndarray, epsilon_floor: float = 1e-12) -> np.ndarray:
-    """Divide |s2d[i,j]| by sqrt(|s1d[i] * s1d[j]|), floored to stay finite."""
+def calibrate(s2d: np.ndarray, s1d: np.ndarray) -> np.ndarray:
+    """Divide |s2d[i,j]| by sqrt(|s1d[i] * s1d[j]|), floored at ``EPSILON_FLOOR``
+    to stay finite."""
     s2d = np.asarray(s2d, dtype=float)
     s1d = np.asarray(s1d, dtype=float)
-    if not 0 < epsilon_floor < inf:
-        raise ConfigurationError(f"epsilon_floor must be in (0, inf), got {epsilon_floor!r}")
     if s2d.shape != (s1d.shape[0], s1d.shape[0]):
         raise ContractViolation("s2d/s1d dimensions do not match")
-    denom = np.sqrt(np.maximum(np.abs(np.outer(s1d, s1d)), epsilon_floor))
+    denom = np.sqrt(np.maximum(np.abs(np.outer(s1d, s1d)), EPSILON_FLOOR))
     out = np.abs(s2d) / denom
     return (out + out.T) / 2.0
 
@@ -195,7 +203,7 @@ def compute_scores(net: CoupledNetwork, method: str, X_aug: np.ndarray | None = 
         s1d = instance_based_1d(net, X_aug, cfg)
     else:
         raise ConfigurationError(f"unknown method {method!r}")
-    calibrated = calibrate(s2d, s1d, cfg.epsilon_floor)
+    calibrated = calibrate(s2d, s1d)
     return ImportanceScores(s1d=s1d, s2d=s2d, calibrated=calibrated, method=method)
 
 

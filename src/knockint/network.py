@@ -70,7 +70,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 300
     batch_size: int = 64
-    seed: int = 0
     l1_filter_penalty: float = 1e-4
     # Sparsity on the MLP weight matrices pushes additive effects into
     # disjoint hidden units, which the weight-path interaction scores need.
@@ -83,7 +82,6 @@ class TrainConfig:
             ("learning_rate", 0 < self.learning_rate < inf, "in (0, inf)"),
             ("epochs", 1 <= self.epochs < inf, "in [1, inf)"),
             ("batch_size", 1 <= self.batch_size < inf, "in [1, inf)"),
-            ("seed", 0 <= self.seed < inf, "in [0, inf)"),
             ("l1_filter_penalty", 0 <= self.l1_filter_penalty < inf, "in [0, inf)"),
             ("l1_mlp_penalty", 0 <= self.l1_mlp_penalty < inf, "in [0, inf)"),
             ("grad_clip", self.grad_clip is None or 0 < self.grad_clip < inf,
@@ -153,6 +151,8 @@ def init_network(p, hidden_sizes=HIDDEN_SIZES, task="regression", seed=0,
     filter weights ``z`` and ``z_tilde`` start equal (``FILTER_INIT``) so the
     original feature and its knockoff compete from a symmetric start.
     """
+    if not 0 <= seed:
+        raise ConfigurationError(f"seed must be in [0, inf), got {seed!r}")
     if p < 1:
         raise ConfigurationError(f"feature count must be >= 1, got {p}")
     hidden_sizes = check_hidden_sizes(hidden_sizes)
@@ -405,8 +405,8 @@ def check_training_rows(cfg: TrainConfig, n: int) -> int:
 
 
 def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
-          cfg: TrainConfig | None = None):
-    """Train a copy of ``net`` with mini-batch Adam.
+          cfg: TrainConfig | None = None, seed: int = 0):
+    """Train a copy of ``net`` with mini-batch Adam, shuffling from ``seed``.
 
     Returns ``(trained_net, trace)`` where ``trace`` holds per-epoch mean
     training loss (and validation loss when a validation split is held out).
@@ -414,6 +414,8 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     Raises :class:`TrainingDivergedError` if the loss ever goes non-finite.
     """
     cfg = cfg or TrainConfig()
+    if not 0 <= seed:
+        raise ConfigurationError(f"seed must be in [0, inf), got {seed!r}")
     X_aug = _checked_input(net, X_aug)
     y = np.asarray(y, dtype=float)
     if X_aug.shape[0] != y.shape[0]:
@@ -425,7 +427,7 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
 
     params = _flatten(net)
     net = params.net
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     Xtr, ytr = X_aug[train_idx], y[train_idx]

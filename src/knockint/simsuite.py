@@ -122,9 +122,9 @@ _KINK_GUARDS = {
 TRAIN_FRACTION = 0.5  # the share of rows a simulated or ``run --dataset`` dataset trains on
 
 
-def training_rows(n: int, train_fraction: float = TRAIN_FRACTION) -> int:
-    """How many of ``n`` rows train: the first ``round(train_fraction * n)``."""
-    return int(round(train_fraction * n))
+def training_rows(n: int) -> int:
+    """How many of ``n`` rows train: the first ``round(TRAIN_FRACTION * n)``."""
+    return int(round(TRAIN_FRACTION * n))
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,6 @@ class SimulationSpec:
     n: int = 20000
     p: int = 30
     seed: int = 0
-    train_fraction: float = TRAIN_FRACTION
 
     def __post_init__(self):
         if not isinstance(self.function_id, str) or self.function_id not in FUNCTIONS:
@@ -141,8 +140,7 @@ class SimulationSpec:
         check_fields(self, (
             ("p", 10 <= self.p < inf, "in [10, inf) (functions read x1..x10)"),
             ("n", 2 <= self.n < inf, "in [2, inf)"),
-            ("seed", 0 <= self.seed < inf, "in [0, inf)"),
-            ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")))
+            ("seed", 0 <= self.seed < inf, "in [0, inf)")))
 
 
 @dataclass
@@ -183,7 +181,7 @@ def generate(spec: SimulationSpec) -> Dataset:
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise GenerationError(f"non-finite response at row {bad[0]}")
-    return Dataset(X=X, y=y, n_train=training_rows(spec.n, spec.train_fraction),
+    return Dataset(X=X, y=y, n_train=training_rows(spec.n),
                    ground_truth=set(GROUND_TRUTH_PAIRS[spec.function_id]))
 
 

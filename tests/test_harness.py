@@ -330,6 +330,22 @@ def test_run_experiment_reads_dataset_once(tmp_path, monkeypatch):
     assert [e["repetition"] for e in entry["repetitions"]] == [0, 1, 2]
 
 
+def test_run_experiment_writes_a_read_dataset_once(tmp_path):
+    # One dataset.csv and manifest.json in the run's directory, not a
+    # byte-identical copy in each repetition's.
+    data = tmp_path / "ext.csv"
+    data.write_text(_external_csv())
+    cfg = _tiny_cfg(tmp_path, functions=[], dataset=str(data), response_column="resp",
+                    repetitions=2, save_intermediates=True)
+    run_experiment(cfg)
+    out = Path(cfg.output_dir)
+    for name in ("dataset.csv", "manifest.json"):
+        assert [p.relative_to(out) for p in out.rglob(name)] == [Path(name)]
+    written = read_dataset_csv(out / "dataset.csv", out / "manifest.json")
+    assert written.n_train == 100 and written.X.shape == (200, 4)
+    assert (out / "external_rep001" / "augmented.csv").exists()
+
+
 # ---------------------------------------------------------------- cli
 
 def _run_cli(args):
@@ -591,11 +607,9 @@ CONFIG_RANGES = [
     (SimulationSpec, "n", (1, 0), "n"),
     (SimulationSpec, "p", (9, -1), "p"),
     (SimulationSpec, "seed", (-1,), None),
-    (SimulationSpec, "train_fraction", (0, 1, 1.5), None),
     (TrainConfig, "learning_rate", (0, -1e-3), "train.learning_rate"),
     (TrainConfig, "epochs", (0, -1), "train.epochs"),
     (TrainConfig, "batch_size", (0,), "train.batch_size"),
-    (TrainConfig, "seed", (-1,), "train.seed"),
     (TrainConfig, "l1_filter_penalty", (-1e-4,), "train.l1_filter_penalty"),
     (TrainConfig, "l1_mlp_penalty", (-5e-4,), "train.l1_mlp_penalty"),
     (TrainConfig, "grad_clip", (0, -1.0), "train.grad_clip"),
@@ -603,7 +617,6 @@ CONFIG_RANGES = [
     (AttributionConfig, "alpha_steps", (0, -3), "attribution.alpha_steps"),
     (AttributionConfig, "beta_steps", (0,), "attribution.beta_steps"),
     (AttributionConfig, "sample_cap", (0,), "attribution.sample_cap"),
-    (AttributionConfig, "epsilon_floor", (0, -1e-12), "attribution.epsilon_floor"),
     (AttributionConfig, "baselines", ("median", [[0.0, np.nan]]), "attribution.baselines"),
 ]
 CONFIG_RANGE_CASES = [(cls, name, value, path) for cls, name, values, path in CONFIG_RANGES
@@ -633,6 +646,71 @@ def test_config_out_of_range_value_stops_before_any_cell(cls, name, value, path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert name in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["train.seed", "attribution.epsilon_floor"])
+def test_cli_run_config_removed_field_exit_code(path, tmp_path, capsys):
+    # Both settings are gone: run derives each network's seed, and calibrate's
+    # floor is a constant. A file that sets one is refused, not run without it.
+    out = tmp_path / "exp"
+    cfg = {"functions": ["F6"], "n": 200, "p": 10, "repetitions": 1, "train": {"epochs": 1},
+           "save_intermediates": False, "output_dir": str(out)}
+    parent, leaf = path.split(".")
+    cfg.setdefault(parent, {})[leaf] = 5
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unknown config field {path}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options", [["--n", "4000"],
+                                     ["--n", "100", "--repetitions", "3", "--functions", "F2"],
+                                     ["--seed", "0", "--out", "x"], ["--no-intermediates"]],
+                         ids=["default_n", "n_repetitions_functions", "default_seed",
+                              "no_intermediates"])
+def test_cli_run_config_with_other_options_is_a_usage_error(options, tmp_path, capsys):
+    # The file sets every field, so an option beside it would be ignored: it is
+    # refused whether or not its value is the default. Only --out may be given.
+    out = tmp_path / "exp"
+    cfg = _tiny_cfg(tmp_path, output_dir=str(out))
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg.to_dict()))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        _run_cli(["run", "--config", str(tmp_path / "cfg.json"), *options])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    named = err.splitlines()[-1].partition("it cannot be given with ")[2].split(", ")
+    assert set(named) == {o for o in options if o.startswith("--") and o != "--out"}, err
+    assert not out.exists()
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "alone")]) == 0
+    assert (tmp_path / "alone" / "report.json").exists()
+
+
+@pytest.mark.parametrize("dataset", [False, True], ids=["simulated", "external"])
+def test_cli_run_baselines_of_wrong_width_stop_before_any_cell(dataset, tmp_path, capsys):
+    # Vectors must be 2p long: 20 for p = 10, 8 for the 4-feature dataset.
+    out = tmp_path / "exp"
+    cfg = {"functions": ["F6"], "n": 200, "p": 10, "repetitions": 2, "train": {"epochs": 1},
+           "method": "instance_based", "attribution": {"baselines": [[0.0] * 9]},
+           "save_intermediates": False, "output_dir": str(out)}
+    if dataset:
+        (tmp_path / "data.csv").write_text(_external_csv())
+        cfg.update(dataset=str(tmp_path / "data.csv"), response_column="resp",
+                   attribution={"baselines": [[0.0] * 20]})
+    else:
+        with pytest.raises(ConfigurationError, match="attribution.baselines"):
+            ExperimentConfig.from_dict(cfg)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    err = capsys.readouterr().err
+    want = 8 if dataset else 20
+    assert err.startswith(f"error: attribution.baselines must be vectors of length 2p = {want}")
+    assert err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -745,7 +823,8 @@ def test_cli_stagewise_pipeline(tmp_path, capsys):
 def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path, function_id):
     # The harness promise: each stage reruns from a repetition's saved files,
     # given the repetition's derive_seed seeds and its manifest, for simulated
-    # and external (run --dataset) data alike.
+    # and external (run --dataset) data alike. A run --dataset writes its one
+    # dataset and manifest to the run's directory, not to each repetition's.
     external = {}
     if function_id == "external":
         csv = tmp_path / "ext.csv"
@@ -758,7 +837,9 @@ def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path, function_id):
     run_experiment(cfg)
     rep = Path(cfg.output_dir) / f"{function_id}_rep000"
     again = tmp_path / "again"
-    data = ["--data", rep / "dataset.csv", "--manifest", rep / "manifest.json"]
+    data_dir = Path(cfg.output_dir) if external else rep
+    manifest = data_dir / "manifest.json"
+    data = ["--data", data_dir / "dataset.csv", "--manifest", manifest]
 
     def seed(*parts):
         return derive_seed(cfg.seed, function_id, 0, *parts)
@@ -780,7 +861,7 @@ def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path, function_id):
         for method in METHODS:
             scores = f"scores_{method}_coupling_{coupling}.csv"
             rerun("score", "--net", rep / f"net_coupling_{coupling}.npz",
-                  "--augmented", rep / "augmented.csv", "--manifest", rep / "manifest.json",
+                  "--augmented", rep / "augmented.csv", "--manifest", manifest,
                   "--method", method, "--alpha-steps", cfg.attribution.alpha_steps,
                   "--beta-steps", cfg.attribution.beta_steps,
                   "--sample-cap", cfg.attribution.sample_cap, "--out", again / scores)
@@ -828,7 +909,7 @@ def test_cli_output_root_env(tmp_path, monkeypatch):
 
 # Option names of each subcommand, as the CLI has always had them.
 CLI_OPTIONS = {
-    "simulate": "--function --n --p --seed --train-fraction --out --manifest",
+    "simulate": "--function --n --p --seed --out --manifest",
     "knockoff": "--data --manifest --seed --ridge --s-scale --augmented-out --model-out "
                 "--diagnostics",
     "train": "--data --manifest --augmented --hidden --coupling --learning-rate --epochs "
@@ -841,7 +922,7 @@ CLI_OPTIONS = {
     "run": "--config --functions --dataset --response-column --task --n --p --q "
            "--repetitions --method --calibration --coupling --learning-rate --epochs "
            "--batch-size --l1-filter-penalty --l1-mlp-penalty --grad-clip --s-scale --seed "
-           "--paper-scale --no-intermediates --out",
+           "--no-intermediates --out",
 }
 
 CLI_REQUIRED = {
@@ -858,9 +939,9 @@ _TRAIN = ("learning_rate epochs batch_size l1_filter_penalty l1_mlp_penalty grad
 
 # Options whose default is a config field's default: (config, field names).
 CLI_CONFIG_DEFAULTS = {
-    "simulate": [(SimulationSpec("F1"), "n p seed train_fraction")],
+    "simulate": [(SimulationSpec("F1"), "n p seed")],
     "knockoff": [(ExperimentConfig(), "ridge s_scale")],
-    "train": [(TrainConfig(), _TRAIN + " validation_fraction seed"),
+    "train": [(TrainConfig(), _TRAIN + " validation_fraction"),
               (ExperimentConfig(), "coupling")],
     "score": [(ExperimentConfig(), "method"),
               (AttributionConfig(), "alpha_steps beta_steps sample_cap")],
@@ -883,5 +964,6 @@ def test_cli_options_and_defaults_come_from_configs(command):
             assert getattr(args, name) == default and type(getattr(args, name)) is type(default), name
     if command == "train":
         assert args.hidden == ExperimentConfig().hidden_sizes
+        assert args.seed == 0
     if command == "run":
         assert args.functions == ",".join(ExperimentConfig().functions)

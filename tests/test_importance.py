@@ -10,8 +10,8 @@ import pytest
 
 from knockint.exceptions import ConfigurationError, ContractViolation, ValidationError
 from knockint.fdr import CLASSES, build_gamma
-from knockint.importance import (AttributionConfig, ImportanceScores, calibrate,
-                                 compute_scores, instance_based_1d,
+from knockint.importance import (EPSILON_FLOOR, AttributionConfig, ImportanceScores,
+                                 calibrate, compute_scores, instance_based_1d,
                                  instance_based_2d, model_based_1d,
                                  model_based_2d, read_scores_csv,
                                  write_scores_csv)
@@ -161,9 +161,9 @@ def test_instance_2d_product_interaction_dominates():
     aug = np.hstack([X, rng.uniform(size=(3000, 3))])
     net = init_network(3, hidden_sizes=(16, 8, 4), seed=0)
     trained, _ = train(net, aug[:2000], y[:2000],
-                       TrainConfig(epochs=150, batch_size=64, seed=0,
+                       TrainConfig(epochs=150, batch_size=64,
                                    l1_filter_penalty=0.0, l1_mlp_penalty=0.0,
-                                   grad_clip=None))
+                                   grad_clip=None), seed=0)
     from knockint.network import predict
     r2 = 1 - np.mean((predict(trained, aug[2000:]) - y[2000:]) ** 2) / np.var(y[2000:])
     assert r2 > 0.99
@@ -258,11 +258,14 @@ def test_instance_2d_takes_one_hessian_call_per_sample_and_baseline(monkeypatch)
 
 
 def test_attribution_config_validation():
-    for bad in ({"alpha_steps": 0}, {"beta_steps": 0}, {"epsilon_floor": 0.0},
-                {"sample_cap": 0}, {"baselines": "median"}, {"baselines": [[0.0, np.nan]]},
+    for bad in ({"alpha_steps": 0}, {"beta_steps": 0}, {"sample_cap": 0}, {"baselines": "median"}, {"baselines": [[0.0, np.nan]]},
                 {"baselines": [[0.0], [0.0, 1.0]]}):
         with pytest.raises(ConfigurationError, match=next(iter(bad))):
             AttributionConfig(**bad)
+    cfg = AttributionConfig(baselines=[np.zeros(6)])  # 2p = 4 below
+    for score in (instance_based_1d, instance_based_2d):
+        with pytest.raises(ConfigurationError, match="attribution.baselines"):
+            score(random_network(p=2), np.zeros((3, 4)), cfg)
 
 
 # ---------------------------------------------------------------- calibration
@@ -283,9 +286,9 @@ def test_calibrate_spec_arithmetic():
 def test_calibrate_floor_engages():
     s2d = np.array([[0.0, 1.0], [1.0, 0.0]])
     s1d = np.array([0.0, 5.0])
-    S = calibrate(s2d, s1d, epsilon_floor=1e-12)
+    S = calibrate(s2d, s1d)
     assert np.all(np.isfinite(S))
-    assert S[0, 1] == pytest.approx(1.0 / np.sqrt(1e-12))
+    assert S[0, 1] == pytest.approx(1.0 / np.sqrt(EPSILON_FLOOR))
 
 
 def test_calibrate_symmetric_nonnegative():
@@ -348,8 +351,8 @@ def test_quadrature_convergence_on_trained_net():
     aug = np.hstack([X, rng.uniform(size=(1500, 4))])
     net = init_network(4, hidden_sizes=(12, 8, 4), seed=1)
     trained, _ = train(net, aug[:1000], y[:1000],
-                       TrainConfig(epochs=60, batch_size=64, seed=1,
-                                   l1_mlp_penalty=0.0, grad_clip=None))
+                       TrainConfig(epochs=60, batch_size=64,
+                                   l1_mlp_penalty=0.0, grad_clip=None), seed=1)
     lo = instance_based_2d(trained, aug[1000:1010],
                            AttributionConfig(alpha_steps=32, beta_steps=32))
     hi = instance_based_2d(trained, aug[1000:1010],

@@ -459,8 +459,8 @@ def test_train_descends_on_constant_target():
     X = rng.uniform(size=(200, 6))
     y = np.zeros(200)
     net = init_network(3, hidden_sizes=(8, 6, 4), seed=0)
-    cfg = TrainConfig(epochs=10, batch_size=32, seed=0)
-    _, trace = train(net, X, y, cfg)
+    cfg = TrainConfig(epochs=10, batch_size=32)
+    _, trace = train(net, X, y, cfg, seed=0)
     assert trace["train_loss"][-1] <= trace["train_loss"][0]
     assert all(np.isfinite(trace["train_loss"]))
 
@@ -470,9 +470,9 @@ def test_train_learns_linear_target():
     X = rng.uniform(size=(2000, 4))
     y = 3.0 * X[:, 0]
     net = init_network(2, hidden_sizes=(16, 8, 4), seed=1)
-    cfg = TrainConfig(epochs=120, batch_size=64, seed=1, l1_filter_penalty=0.0,
+    cfg = TrainConfig(epochs=120, batch_size=64, l1_filter_penalty=0.0,
                       l1_mlp_penalty=0.0, grad_clip=None)
-    trained, _ = train(net, X[:1000], y[:1000], cfg)
+    trained, _ = train(net, X[:1000], y[:1000], cfg, seed=1)
     resid = predict(trained, X[1000:]) - y[1000:]
     assert np.mean(resid ** 2) < 0.01 * np.var(y[1000:])
 
@@ -481,9 +481,9 @@ def test_train_deterministic():
     rng = np.random.default_rng(2)
     X = rng.uniform(size=(300, 6))
     y = X[:, 0] * X[:, 1]
-    cfg = TrainConfig(epochs=5, batch_size=50, seed=3)
-    n1, t1 = train(init_network(3, hidden_sizes=(6, 5, 4), seed=3), X, y, cfg)
-    n2, t2 = train(init_network(3, hidden_sizes=(6, 5, 4), seed=3), X, y, cfg)
+    cfg = TrainConfig(epochs=5, batch_size=50)
+    n1, t1 = train(init_network(3, hidden_sizes=(6, 5, 4), seed=3), X, y, cfg, seed=3)
+    n2, t2 = train(init_network(3, hidden_sizes=(6, 5, 4), seed=3), X, y, cfg, seed=3)
     for wa, wb in zip(n1.w, n2.w):
         np.testing.assert_array_equal(wa, wb)
     assert t1["train_loss"] == t2["train_loss"]
@@ -495,9 +495,9 @@ def test_train_diverged_raises_with_epoch():
     y = rng.uniform(size=100)
     net = init_network(2, hidden_sizes=(4, 3, 2), seed=0)
     net.w[3][:] = 1e200  # blow up the output scale so the loss overflows
-    cfg = TrainConfig(epochs=3, batch_size=32, seed=0)
+    cfg = TrainConfig(epochs=3, batch_size=32)
     with pytest.raises(TrainingDivergedError) as err:
-        train(net, X, y, cfg)
+        train(net, X, y, cfg, seed=0)
     assert err.value.epoch >= 0
 
 
@@ -506,8 +506,8 @@ def test_train_binary_task():
     X = rng.uniform(size=(600, 4))
     y = (X[:, 0] > 0.5).astype(float)
     net = init_network(2, hidden_sizes=(8, 6, 4), task="binary", seed=0)
-    trained, trace = train(net, X, y, TrainConfig(epochs=40, batch_size=64, seed=0,
-                                                  l1_mlp_penalty=0.0, grad_clip=None))
+    trained, trace = train(net, X, y, TrainConfig(epochs=40, batch_size=64,
+                                                  l1_mlp_penalty=0.0, grad_clip=None), seed=0)
     acc = np.mean((predict(trained, X) > 0.5) == y)
     assert acc > 0.9
     assert trace["train_loss"][-1] < trace["train_loss"][0]
@@ -526,8 +526,8 @@ def test_validation_trace_present():
     X = rng.uniform(size=(200, 4))
     y = X[:, 0]
     net = init_network(2, hidden_sizes=(4, 3, 2), seed=0)
-    cfg = TrainConfig(epochs=4, batch_size=32, seed=0, validation_fraction=0.25)
-    _, trace = train(net, X, y, cfg)
+    cfg = TrainConfig(epochs=4, batch_size=32, validation_fraction=0.25)
+    _, trace = train(net, X, y, cfg, seed=0)
     assert len(trace["val_loss"]) == 4
     assert all(np.isfinite(trace["val_loss"]))
 
@@ -583,14 +583,14 @@ def _reference_loss_and_grads(net, X, y, l1_filter, l1_mlp=0.0):
     return loss, grads
 
 
-def _reference_train(net, X_aug, y, cfg):
+def _reference_train(net, X_aug, y, cfg, seed):
     """Mini-batch Adam with one dict entry per parameter, written plainly.
 
     ``train`` must reproduce it bit for bit. Also returns how many steps
     clipped the gradient.
     """
     net = copy.deepcopy(net)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = X_aug.shape[0]
     n_val = int(round(cfg.validation_fraction * n))
     perm = rng.permutation(n)
@@ -659,10 +659,10 @@ def test_train_bit_identical_to_reference(coupling, task, grad_clip, penalized):
     net = init_network(4, hidden_sizes=(7, 5, 3), task=task, seed=4, coupling=coupling)
     extra = (dict(l1_filter_penalty=1e-3, l1_mlp_penalty=5e-4, validation_fraction=0.2)
              if penalized else dict(l1_filter_penalty=0.0, l1_mlp_penalty=0.0))
-    cfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=30, seed=5,
-                      grad_clip=grad_clip, **extra)
-    ref, ref_trace, clipped = _reference_train(net, X, y, cfg)
-    got, trace = train(net, X, y, cfg)
+    cfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=30, grad_clip=grad_clip,
+                      **extra)
+    ref, ref_trace, clipped = _reference_train(net, X, y, cfg, seed=5)
+    got, trace = train(net, X, y, cfg, seed=5)
     if grad_clip is not None:
         assert clipped > 0
     for a, b in zip(ref.named_params().values(), got.named_params().values(), strict=True):
@@ -719,7 +719,7 @@ def test_network_roundtrip_bit_exact(tmp_path):
     X = rng.uniform(size=(200, 6))
     y = X[:, 0] + X[:, 1] * X[:, 2]
     net = init_network(3, hidden_sizes=(6, 5, 4), seed=0)
-    trained, _ = train(net, X, y, TrainConfig(epochs=3, batch_size=32, seed=0))
+    trained, _ = train(net, X, y, TrainConfig(epochs=3, batch_size=32), seed=0)
     path = tmp_path / "net.npz"
     save_network(trained, path)
     loaded = load_network(path)
