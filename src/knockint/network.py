@@ -151,7 +151,7 @@ def init_network(p, hidden_sizes=HIDDEN_SIZES, task="regression", seed=0,
     filter weights ``z`` and ``z_tilde`` start equal (``FILTER_INIT``) so the
     original feature and its knockoff compete from a symmetric start.
     """
-    if not 0 <= seed:
+    if not 0 <= seed < inf:
         raise ConfigurationError(f"seed must be in [0, inf), got {seed!r}")
     if p < 1:
         raise ConfigurationError(f"feature count must be >= 1, got {p}")
@@ -414,7 +414,7 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     Raises :class:`TrainingDivergedError` if the loss ever goes non-finite.
     """
     cfg = cfg or TrainConfig()
-    if not 0 <= seed:
+    if not 0 <= seed < inf:
         raise ConfigurationError(f"seed must be in [0, inf), got {seed!r}")
     X_aug = _checked_input(net, X_aug)
     y = np.asarray(y, dtype=float)

@@ -489,6 +489,20 @@ def test_train_deterministic():
     assert t1["train_loss"] == t2["train_loss"]
 
 
+@pytest.mark.parametrize("stage", ["init_network", "train"])
+@pytest.mark.parametrize("seed", [-1, np.nan, np.inf, -np.inf])
+def test_seed_out_of_range_is_refused(stage, seed):
+    # The check TrainConfig.seed made: each stage that draws from a seed
+    # refuses one outside [0, inf) before drawing.
+    X = np.random.default_rng(0).uniform(size=(40, 6))
+    with pytest.raises(ConfigurationError, match="seed"):
+        if stage == "init_network":
+            init_network(3, hidden_sizes=(6, 5, 4), seed=seed)
+        else:
+            train(init_network(3, hidden_sizes=(6, 5, 4)), X, X[:, 0],
+                  TrainConfig(epochs=1, batch_size=10), seed=seed)
+
+
 def test_train_diverged_raises_with_epoch():
     rng = np.random.default_rng(4)
     X = rng.uniform(size=(100, 4))
