@@ -46,7 +46,7 @@ class AttributionConfig:
 
     alpha_steps: int = 32
     beta_steps: int = 32
-    baselines: object = "dataset_mean"   # or a list of length-2p vectors
+    baselines: object = "dataset_mean"   # or length-2p vectors, kept as float tuples
     sample_cap: int = 1000
 
     def __post_init__(self):
@@ -55,6 +55,9 @@ class AttributionConfig:
             ("beta_steps", 1 <= self.beta_steps < inf, "in [1, inf)"),
             ("baselines", _is_baselines(self.baselines), "'dataset_mean' or finite vectors"),
             ("sample_cap", 1 <= self.sample_cap < inf, "in [1, inf)")))
+        if not isinstance(self.baselines, str):  # plain floats, as report.json writes them
+            object.__setattr__(self, "baselines", tuple(map(tuple, np.atleast_2d(
+                np.asarray(self.baselines, dtype=float)).tolist())))
 
     def check_baselines(self, width: int):
         """Raise a ConfigurationError unless the baselines are ``"dataset_mean"``
@@ -116,7 +119,9 @@ def _path_integral(net: CoupledNetwork, X_aug: np.ndarray, cfg: AttributionConfi
 
     Memory: one sample's derivative call is the only large allocation alive.
     For Hessians, ``mean_input_hessian`` builds no per-point ``(2p, 2p)``
-    block; its largest arrays are ``(distinct points, hidden_sizes[1], d0)``.
+    block and takes the points in blocks of a fixed number of ``J_1``
+    entries (``network.HESSIAN_BLOCK``), so its memory does not grow with
+    the grid.
     """
     cfg = cfg or AttributionConfig()
     X_aug = np.asarray(X_aug, dtype=float)

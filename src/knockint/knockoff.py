@@ -130,7 +130,7 @@ def sample_knockoffs(X: np.ndarray, model: GaussianKnockoffModel, seed: int = 0)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.p:
         raise ContractViolation(f"X has shape {X.shape}, model expects p={model.p}")
-    if not 0 <= seed:
+    if not 0 <= seed < inf:
         raise ConfigurationError(f"seed must be in [0, inf), got {seed!r}")
     centered = X - model.mu
     cond_mean = model.mu + centered @ model.cond_mean_map.T

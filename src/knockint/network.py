@@ -13,15 +13,17 @@ to the ``d0`` filter outputs ``h0`` (``p`` with coupling, ``2p`` without).
 Input gradients are reverse mode. Input Hessians have one algorithm, the
 layerwise identity ``H = sum_l J_l^T diag(c_l) J_l``, with ``J_l`` the
 Jacobian of the pre-activation ``a_l`` in ``h0`` and
-``c_l = (df/dh_{l+1}) * ELU''(a_l)``. ``mean_input_hessian`` sums each term
-over a batch's rows as one matrix product, so the mean Hessian builds no
-per-row Hessian. Its ``weights`` scale each row's ``c_l``: by default every
-row weighs ``1/n``, and a path integral passes each distinct point's share
-of its grid. ``batch_input_hessian`` takes each row's Hessian as the mean
-over that row alone, whose one weight is exactly 1. The coupling layer is
-the linear map ``h0 = z * x + z_tilde * x_ko``; ``pull_back`` applies its
-transpose, which carries a derivative from filter space to the ``2p``
-augmented inputs. No other module reads ``z`` or ``z_tilde``.
+``c_l = (df/dh_{l+1}) * ELU''(a_l)``. ``mean_input_hessian`` takes a batch's
+rows in blocks of at most ``HESSIAN_BLOCK`` entries of ``J_1`` and sums each
+term over a block as one matrix product, so it builds no per-row Hessian and
+its memory does not grow with the batch. Its ``weights`` scale each row's
+``c_l``: by default every row weighs ``1/n``, and a path integral passes each
+distinct point's share of its grid. ``batch_input_hessian`` takes each row's
+Hessian as the mean over that row alone, whose one weight is exactly 1. The
+coupling layer is the linear map ``h0 = z * x + z_tilde * x_ko``;
+``pull_back`` applies its transpose, which carries a derivative from filter
+space to the ``2p`` augmented inputs. No other module reads ``z`` or
+``z_tilde``.
 
 ``CoupledNetwork.named_params`` is the one table of parameters (``w0..w3``,
 ``b0..b3``, then ``z, z_tilde``), ``_param_fields`` its inverse. ``train``
@@ -51,6 +53,8 @@ SERIALIZATION_VERSION = 1
 HIDDEN_SIZES = (64, 32, 16)
 
 FILTER_INIT = 0.1  # the common start of every z and z_tilde
+
+HESSIAN_BLOCK = 2 ** 17  # J_1 entries one block of mean_input_hessian's rows may hold
 
 
 def _sigmoid(u):
@@ -291,15 +295,19 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray, weights=None) -> 
     ``J_l = da_l/dh0`` and ``c_l = (df/dh_{l+1}) * ELU''(a_l)``; at the kink
     ``a = 0`` ELU'' takes its left limit 1. ``J_0 = W0^T`` for every row, so
     its term is ``W0 diag(sum_k c_0) W0^T``. ``J_1 = W1^T diag(ELU'(a_0)) W0^T``
-    is one product for all rows, ``ELU'(a_0) @ P`` with
+    is one product for a block's rows, ``ELU'(a_0) @ P`` with
     ``P[m, (j, i)] = W1[m, j] W0[i, m]``, and ``J_2 = W2^T diag(ELU'(a_1)) J_1``.
     Each term's sum over rows is one product on ``J_l`` flattened over
     (row, unit). The ``d0 x d0`` mean is symmetrized, so H == H.T holds
     exactly, and pulled back once.
 
-    Memory: ``J_1`` and its ``c_1``-scaled copy, each ``(n, hidden_sizes[1], d0)``,
-    are the largest arrays; no ``(n, d0, d0)`` block is made. Without
-    coupling ``d0 = 2p``, so they are twice their coupled size.
+    Memory: the rows are taken in blocks of ``HESSIAN_BLOCK // (hidden_sizes[1] * d0)``
+    (at least one), each with its own forward pass and its three terms.
+    ``J_1`` and its ``c_1``-scaled copy, each ``(block rows, hidden_sizes[1], d0)``,
+    are the largest arrays, so memory does not grow with ``n``; no
+    ``(n, d0, d0)`` block is made. The first block's sum is ``H`` itself and
+    each later block's sum is added to it, so a batch within one block, one
+    row among them, is exactly its three terms summed in order.
     """
     X_aug = _checked_input(net, X_aug)
     net.check_finite()
@@ -310,22 +318,25 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray, weights=None) -> 
     if weights.shape != (n,):
         raise ContractViolation(f"need one weight per row, got shape {weights.shape} "
                                 f"for {n} rows")
-    _, pre, elu_prime, _ = _forward_pass(net, X_aug)
-
-    c, g = [None] * 3, net.w[3][:, 0]      # g: gradient w.r.t. h_{l+1}
-    for l in (2, 1, 0):
-        c[l] = g * np.where(pre[l] > 0, 0.0, elu_prime[l])   # ELU'' = ELU' for a <= 0
-        c[l] *= weights[:, None]
-        if l:
-            g = (g * elu_prime[l]) @ net.w[l].T
     w0, w1, w2 = net.w[:3]
-    d0 = w0.shape[0]
-    H = (w0 * c[0].sum(axis=0)) @ w0.T
+    d0, h1 = w0.shape[0], w1.shape[1]
     P = (w1[:, :, None] * w0.T[:, None, :]).reshape(w1.shape[0], -1)
-    J = (elu_prime[0] @ P).reshape(n, w1.shape[1], d0)       # J_1
-    H += _gram_over_rows(J, c[1])
-    J = (w2.T * elu_prime[1][:, None, :]) @ J                 # J_2
-    H += _gram_over_rows(J, c[2])
+    rows = max(1, HESSIAN_BLOCK // (h1 * d0))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        _, pre, elu_prime, _ = _forward_pass(net, X_aug[block])
+        c, g = [None] * 3, net.w[3][:, 0]      # g: gradient w.r.t. h_{l+1}
+        for l in (2, 1, 0):
+            c[l] = g * np.where(pre[l] > 0, 0.0, elu_prime[l])   # ELU'' = ELU' for a <= 0
+            c[l] *= weights[block, None]
+            if l:
+                g = (g * elu_prime[l]) @ net.w[l].T
+        part = (w0 * c[0].sum(axis=0)) @ w0.T
+        J = (elu_prime[0] @ P).reshape(-1, h1, d0)                # J_1
+        part += _gram_over_rows(J, c[1])
+        J = (w2.T * elu_prime[1][:, None, :]) @ J                 # J_2
+        part += _gram_over_rows(J, c[2])
+        H = part if start == 0 else H + part
     return pull_back(net, (H + H.T) / 2.0, (-2, -1))
 
 

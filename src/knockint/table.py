@@ -124,10 +124,12 @@ class Entries(dict):
 
 def write_json(path, obj, compact=False):
     """Write ``obj`` with sorted keys, indented by 2 and ending in a newline;
-    ``compact`` writes one line and no newline (the training-trace format)."""
+    ``compact`` writes one line and no newline (the training-trace format).
+    The text is built before ``path`` is opened, so an ``obj`` that JSON
+    cannot hold raises before the file is touched."""
+    text = json.dumps(obj, indent=None if compact else 2, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=None if compact else 2, sort_keys=True)
-        fh.write("" if compact else "\n")
+        fh.write(text if compact else text + "\n")
 
 
 def read_json(path) -> Entries:

@@ -346,6 +346,18 @@ def test_run_experiment_writes_a_read_dataset_once(tmp_path):
     assert (out / "external_rep001" / "augmented.csv").exists()
 
 
+def test_run_experiment_writes_array_baselines_as_lists(tmp_path):
+    # A config built in Python may hold numpy vectors; the config keeps them
+    # as float tuples, so report.json can be written and reads back as lists.
+    cfg = _tiny_cfg(tmp_path, n=60, train=TrainConfig(epochs=1, batch_size=16),
+                    method="instance_based",
+                    attribution=AttributionConfig(baselines=[np.zeros(20)], sample_cap=2))
+    run_experiment(cfg)
+    report = json.loads((Path(cfg.output_dir) / "report.json").read_text())
+    assert report["config"]["attribution"]["baselines"] == [[0.0] * 20]
+    assert not report["errors"]
+
+
 # ---------------------------------------------------------------- cli
 
 def _run_cli(args):

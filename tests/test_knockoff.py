@@ -160,6 +160,13 @@ def test_sample_deterministic(rng):
     assert np.any(a != c)
 
 
+@pytest.mark.parametrize("seed", [-1, np.nan, np.inf, -np.inf])
+def test_sample_seed_out_of_range_is_refused(rng, seed):
+    X = rng.standard_normal((50, 4))
+    with pytest.raises(ConfigurationError, match="seed"):
+        sample_knockoffs(X, fit_gaussian(X), seed=seed)
+
+
 def test_sample_identity_sigma_independent(rng):
     # With Sigma = I and s ~ 1 the knockoffs are independent copies.
     X = rng.standard_normal((100_000, 3))

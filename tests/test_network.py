@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
                                  TrainingDivergedError, ValidationError)
-from knockint.network import (CoupledNetwork, TrainConfig, _flatten, _forward_pass,
-                              _loss_and_param_grads, _sigmoid, batch_input_gradient,
+from knockint.network import (HESSIAN_BLOCK, CoupledNetwork, TrainConfig, _flatten,
+                              _forward_pass, _loss_and_param_grads, _sigmoid,
+                              batch_input_gradient,
                               batch_input_hessian, init_network, load_network,
                               mean_input_hessian, predict, pull_back, raw_output,
                               save_network, train)
@@ -403,12 +404,38 @@ def test_mean_hessian_rejects_weights_not_one_per_row():
 @pytest.mark.parametrize("coupling, bound", [(True, 24.0), (False, 40.0)],
                          ids=["coupling", "dense"])
 def test_mean_input_hessian_peak_memory(coupling, bound):
-    # One sample's 32 x 32 path points at the protocol's sizes. J_1 and its
-    # scaled copy are 7.5 MiB each with coupling (d0 = p), 15 MiB each
-    # without (d0 = 2p); no per-point Hessian is built.
+    # One sample's 32 x 32 path points at the protocol's sizes. The rows are
+    # taken in blocks of at most HESSIAN_BLOCK J_1 entries, so J_1 and its
+    # scaled copy are at most 1 MiB each; no per-point Hessian is built.
     net = random_network(p=30, hidden=(64, 32, 16), seed=0, scale=0.3, coupling=coupling)
     X = np.random.default_rng(0).standard_normal((1024, 60))
     assert peak_mib(mean_input_hessian, net, X) <= bound
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+def test_mean_input_hessian_peak_memory_does_not_grow_with_rows(coupling):
+    # The rows go through in fixed-size blocks, so 16 times the rows costs
+    # no more memory: the arrays that grow with n are the weights alone.
+    net = random_network(p=30, hidden=(64, 32, 16), seed=0, scale=0.3, coupling=coupling)
+    X = np.random.default_rng(0).standard_normal((4096, 60))
+    small, large = peak_mib(mean_input_hessian, net, X[:256]), peak_mib(mean_input_hessian, net, X)
+    assert large <= small + 0.5
+    assert large < 4.0
+
+
+@pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
+def test_weighted_mean_hessian_over_blocks_matches_reference(coupling):
+    # Uneven weights on rows that span several blocks: each block's sum is
+    # added to the total, which rounds in another order than the reference.
+    net = random_network(p=30, hidden=(64, 32, 16), seed=4, scale=0.3, coupling=coupling)
+    assert 400 > 2 * (HESSIAN_BLOCK // (32 * net.w[0].shape[0]))  # three blocks or more
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((400, 60))
+    w = rng.uniform(0.0, 1.0, 400) ** 3
+    w /= w.sum()
+    H, ref = mean_input_hessian(net, X, w), np.tensordot(w, _reference_hessian(net, X), 1)
+    assert np.array_equal(H, H.T)
+    assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))

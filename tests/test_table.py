@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from knockint.exceptions import ValidationError
 from knockint.harness import _write_report
-from knockint.table import read_table, write_table
+from knockint.table import read_table, write_json, write_table
 
 SCORES_HEADER = "i,j,class,raw,calibrated\n"
 
@@ -130,3 +130,10 @@ def test_empty_summary_and_aggregate_tables_write_only_the_header(tmp_path):
         b"auroc,fdp,power,n_selected,threshold\r\n")
     assert (tmp_path / "aggregate.csv").read_bytes() == (
         b"function,method,calibration,coupling,metric,mean,ci_low,ci_high\r\n")
+
+
+def test_write_json_of_an_unwritable_value_leaves_no_file(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        write_json(path, {"a": 1, "b": np.zeros(2)})
+    assert not path.exists()
