@@ -123,7 +123,7 @@ def cmd_score(args):
 
 def cmd_select(args):
     scores = read_scores_csv(args.scores)
-    _, gamma, result = harness.select_arm(scores, "off" if args.use_raw else "on", args.q)
+    gamma, result = harness.select_arm(scores, "off" if args.use_raw else "on", args.q)
     json_out = _out(args.json_out)
     write_selection_json(json_out, result)
     if args.csv_out:
@@ -134,18 +134,20 @@ def cmd_select(args):
 
 
 def cmd_evaluate(args):
-    selection = read_json(args.selection)["selected"]
-    if not index_pairs(selection):
+    selection = read_json(args.selection)
+    if not index_pairs(selection["selected"]):
         raise ValidationError(f"{args.selection}: 'selected' must be a list of index pairs")
+    if selection["calibration"] not in harness.ON_OFF:
+        raise ValidationError(f"{args.selection}: 'calibration' must be 'on' or 'off'")
     *_, truth = read_manifest(args.manifest)
     if truth is None:
         raise KnockintError(f"{args.manifest}: manifest carries no ground-truth pairs")
-    S = read_scores_csv(args.scores).calibrated
-    p = len(S) // 2
-    if not all(0 <= i < j < p for i, j in selection):
+    scores = read_scores_csv(args.scores)
+    p = len(scores.s1d) // 2
+    if not all(0 <= i < j < p for i, j in selection["selected"]):
         raise ValidationError(f"{args.selection}: every selected pair must have "
                               f"0 <= i < j < {p}, half the scores' width")
-    report = harness.score_selection(S, selection, truth)
+    report = harness.score_selection(scores, selection, truth)
     out = _out(args.out)
     write_json(out, report.to_dict())
     print(f"wrote {out} (auroc={report.auroc:.3f}, fdp={report.fdp:.3f}, "
@@ -270,27 +272,35 @@ def _run_options(p):
     p.add_argument("--out")
 
 
-def _check_config_alone(argv):
-    """Exit 1 when the ``run`` arguments ``argv`` give ``--config`` with any
-    option but ``--out``, which the file's settings would silently replace.
-    ``argv`` is parsed again with every default None, so an option counts as
-    given even at its default value."""
+def _check_run_options(argv, args):
+    """Exit 1 when the ``run`` arguments ``argv`` give an option that the
+    data source of ``args`` would silently ignore: any but ``--out`` beside
+    ``--config``, whose file holds every setting, and ``--functions``, ``--n``
+    or ``--p`` beside ``--dataset``. ``argv`` is parsed again with every
+    default None, so an option counts as given even at its default value."""
     p = _Parser(prog="knockint run")
     _run_options(p)
     p.set_defaults(**dict.fromkeys(vars(p.parse_args([])), None))
-    given = [dest for dest, value in vars(p.parse_args(argv)).items()
-             if value is not None and dest not in ("config", "out")]
-    if given:
-        p.error("--config takes every setting from its file; it cannot be given with "
-                + ", ".join("--" + dest.replace("_", "-") for dest in given))
+    given = [dest for dest, value in vars(p.parse_args(argv)).items() if value is not None]
+    if args.config:
+        source, ignored = "--config takes every setting from its file", [
+            dest for dest in given if dest not in ("config", "out")]
+    elif args.dataset:
+        source, ignored = "--dataset replaces the simulation", [
+            dest for dest in given if dest in ("functions", "n", "p")]
+    else:
+        return
+    if ignored:
+        p.error(f"{source}; it cannot be given with "
+                + ", ".join("--" + dest.replace("_", "-") for dest in ignored))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and args.config:
-        _check_config_alone(argv[1:])  # argv[0] is "run"
+    if args.command == "run":
+        _check_run_options(argv[1:], args)  # argv[0] is "run"
     try:
         args.func(args)
     except (KnockintError, OSError, FloatingPointError) as exc:

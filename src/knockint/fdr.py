@@ -25,7 +25,7 @@ Features: the classic knockoff+ threshold over signed statistics W_j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,19 +48,14 @@ class SelectionResult:
     estimated_fdp: float | None
     q: float
     counts: dict = field(default_factory=dict)
+    calibration: str | None = None  # an arm's scores, "on" or "off" (harness.select_arm)
 
     @property
     def feasible(self) -> bool:
         return self.threshold is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "selected": np.asarray(self.selected).tolist(),  # pairs or feature indices
-            "estimated_fdp": self.estimated_fdp,
-            "q": self.q,
-            "counts": self.counts,
-        }
+    def to_dict(self) -> dict:  # selected holds pairs or feature indices
+        return {**asdict(self), "selected": np.asarray(self.selected).tolist()}
 
 
 def labelled_pairs(p: int):

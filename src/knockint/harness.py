@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from math import inf
 from pathlib import Path
 
@@ -97,6 +97,9 @@ class ExperimentConfig:
             ("coupling", self.coupling in ON_OFF + ("both",), f"one of {ON_OFF} or 'both'")))
         check_hidden_sizes(self.hidden_sizes)
         if self.dataset is None:  # every function, before any cell runs
+            check_fields(self, (  # settings a simulation would ignore
+                ("task", self.task == "regression", "'regression' without a dataset"),
+                ("response_column", self.response_column is None, "None without a dataset")))
             if not self.functions:
                 raise ConfigurationError("functions is empty")
             for k, function_id in enumerate(self.functions):
@@ -169,17 +172,24 @@ def fit_network(dataset: Dataset, X_aug, coupling: str, hidden_sizes, train_cfg,
     return train(net, X_aug[:dataset.n_train], dataset.train[1], train_cfg, seed)
 
 
+def arm_scores(scores, calibration: str) -> np.ndarray:
+    """The 2p x 2p matrix an arm ranks: calibrated scores, or raw |2D| ones with
+    calibration off."""
+    return scores.calibrated if calibration == "on" else np.abs(scores.s2d)
+
+
 def select_arm(scores, calibration: str, q: float) -> tuple:
-    """``(S, gamma, selection)``: calibrated or, with calibration off, raw |2D| scores."""
-    S = scores.calibrated if calibration == "on" else np.abs(scores.s2d)
-    gamma = build_gamma(S)
-    return S, gamma, interaction_threshold(gamma, q)
+    """``(gamma, selection)`` of the arm's scores; the selection records ``calibration``."""
+    gamma = build_gamma(arm_scores(scores, calibration))
+    return gamma, replace(interaction_threshold(gamma, q), calibration=calibration)
 
 
-def score_selection(S: np.ndarray, selected, truth) -> EvalReport:
-    """The 2p x 2p scores and selected augmented index pairs against 1-based ``truth``."""
+def score_selection(scores, selection: dict, truth) -> EvalReport:
+    """A selection, as ``SelectionResult.to_dict`` writes it, on the scores its
+    arm ranked, against 1-based ``truth``."""
+    S = arm_scores(scores, selection["calibration"])
     p = S.shape[0] // 2
-    return evaluate(oo_score_map(S, p), selected_original_pairs(selected, p), truth)
+    return evaluate(oo_score_map(S, p), selected_original_pairs(selection["selected"], p), truth)
 
 
 def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
@@ -223,7 +233,7 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
                 write_scores_csv(
                     rep_dir / f"scores_{method}_coupling_{coupling}.csv", scores)
             for calibration in _expand(cfg.calibration, ON_OFF):
-                S, gamma, selection = select_arm(scores, calibration, cfg.q)
+                gamma, selection = select_arm(scores, calibration, cfg.q)
                 arm = f"{method}|calibration_{calibration}|coupling_{coupling}"
                 entry = {"selection": selection.to_dict(),
                          "trace_final_loss": trace["train_loss"][-1]}
@@ -232,7 +242,7 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
                     write_selection_json(rep_dir / f"{stem}.json", selection)
                     write_selection_csv(rep_dir / f"{stem}.csv", gamma, selection)
                 if dataset.ground_truth is not None:
-                    entry["eval"] = score_selection(S, selection.selected,
+                    entry["eval"] = score_selection(scores, entry["selection"],
                                                     dataset.ground_truth).to_dict()
                 results[arm] = entry
     return results
@@ -306,11 +316,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         write_dataset_csv(outdir / "dataset.csv", dataset, outdir / "manifest.json")
 
     function_ids = cfg.functions if cfg.dataset is None else ["external"]
+    results = {function_id: {} for function_id in function_ids}
     report = {
         "config": cfg.to_dict(),
         "software_version": __version__,
         "notes": [KNOCKOFF_SUBSTITUTION_NOTE, TRAINING_NOTE],
-        "results": {},
+        "results": results,
         "errors": [],
     }
 
@@ -318,23 +329,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
               outdir / f"{function_id}_rep{rep:03d}" if cfg.save_intermediates else None,
               dataset)
              for function_id in function_ids for rep in range(cfg.repetitions)]
-    per_function = {function_id: {} for function_id in function_ids}
     for (_, function_id, rep, _, _), outcome in zip(cells, _run_cells(cells)):
         if isinstance(outcome, str):
             report["errors"].append({"function": function_id, "repetition": rep,
                                      "error": outcome})
             continue
         for arm, entry in outcome.items():
-            per_function[function_id].setdefault(arm, []).append(
+            results[function_id].setdefault(arm, {"repetitions": []})["repetitions"].append(
                 {"repetition": rep, **entry})
-    for function_id, per_arm in per_function.items():
-        report["results"][function_id] = {}
-        for arm, entries in per_arm.items():
-            arm_report = {"repetitions": entries}
-            evals = [EvalReport(**e["eval"]) for e in entries if "eval" in e]
-            if evals:
-                arm_report["aggregate"] = aggregate(evals)
-            report["results"][function_id][arm] = arm_report
+    for arm_report in (a for arms in results.values() for a in arms.values()):
+        evals = [EvalReport(**e["eval"]) for e in arm_report["repetitions"] if "eval" in e]
+        if evals:
+            arm_report["aggregate"] = aggregate(evals)
 
     _write_report(outdir, report)
     return report

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -18,8 +18,7 @@ class EvalReport:
     n_true: int
 
     def to_dict(self):
-        return {"auroc": self.auroc, "fdp": self.fdp, "power": self.power,
-                "n_selected": self.n_selected, "n_true": self.n_true}
+        return asdict(self)
 
 
 def auroc(scores: dict, truth: set) -> float:

@@ -55,6 +55,12 @@ def test_config_validation():
     ExperimentConfig(method="both", calibration="both", coupling="both")
     # an external dataset has no benchmark function to check
     ExperimentConfig(dataset="x.csv", functions=["F11"], p=3)
+    # a simulation is a regression with no response column to name
+    with pytest.raises(ConfigurationError, match="task must be 'regression' without a dataset"):
+        ExperimentConfig(task="binary")
+    with pytest.raises(ConfigurationError, match="response_column must be None"):
+        ExperimentConfig(response_column="y")
+    ExperimentConfig(dataset="x.csv", task="binary", response_column="y")
 
 
 def test_config_roundtrip():
@@ -442,6 +448,14 @@ MALFORMED_INPUTS = {
                                          "--scores {d}/wide_scores.csv "
                                          "--manifest {d}/data.manifest.json --out {d}/x.json",
                                          "knockoff_pair.json"),
+    "evaluate_selection_without_calibration": ("evaluate --selection {d}/no_calibration.json "
+                                               "--scores {d}/scores.csv "
+                                               "--manifest {d}/data.manifest.json "
+                                               "--out {d}/x.json", "no_calibration.json"),
+    "evaluate_selection_calibration_both": ("evaluate --selection {d}/calibration_both.json "
+                                            "--scores {d}/scores.csv "
+                                            "--manifest {d}/data.manifest.json "
+                                            "--out {d}/x.json", "calibration_both.json"),
     "run_functions_repeated": ("run --functions F6,F6 --p 10 --n 60 --repetitions 1 "
                                "--epochs 1 --no-intermediates --out {d}/repeated_out",
                                "F6 twice"),
@@ -459,6 +473,13 @@ MALFORMED_INPUTS = {
     "score_augmented_without_ko_columns": ("score --net {d}/net.npz --augmented {d}/data.csv "
                                            "--out {d}/x.csv", "data.csv"),
     "run_config_task_poisson": ("run --config {d}/task_poisson_cfg.json", "task"),
+    "run_simulation_task_binary": ("run --functions F6 --p 10 --n 60 --repetitions 1 "
+                                   "--epochs 1 --task binary --no-intermediates "
+                                   "--out {d}/binary_out", "task"),
+    "run_simulation_response_column": ("run --functions F6 --p 10 --n 60 --repetitions 1 "
+                                       "--epochs 1 --response-column y --no-intermediates "
+                                       "--out {d}/response_out", "response_column"),
+    "run_config_simulation_task_binary": ("run --config {d}/task_binary_cfg.json", "task"),
     "train_validation_split_leaves_no_training_rows": (
         "train --data {d}/data.csv --augmented {d}/aug.csv --validation-fraction 0.99 "
         "--batch-size 16 --epochs 1 --net-out {d}/x.npz", "no training rows"),
@@ -527,7 +548,7 @@ def malformed_dir(tmp_path_factory):
         (d / f"{name}.json").write_text(json.dumps({**manifest, **entries}))
     X = np.random.default_rng(0).uniform(size=(50, 12))
     write_augmented_csv(d / "aug_p12.csv", X, X)
-    (d / "pair.json").write_text('{"selected": [[0, 1]]}')
+    (d / "pair.json").write_text('{"selected": [[0, 1]], "calibration": "on"}')
     (d / "scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n")
     (d / "odd_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
                                       "1,3,OO,0.5,0.5\n")  # largest index 3
@@ -539,12 +560,16 @@ def malformed_dir(tmp_path_factory):
     np.savez(d / "nometa.npz", w0=np.zeros(2))
     (d / "list.json").write_text("[1]")
     (d / "empty.json").write_text("{}")
-    (d / "triple.json").write_text('{"selected": [[0, 1, 2]]}')
-    (d / "reversed.json").write_text('{"selected": [[1, 0]]}')
-    (d / "beyond.json").write_text('{"selected": [[0, 1], [1, 2]]}')  # scores.csv is 2 wide
+    (d / "triple.json").write_text('{"selected": [[0, 1, 2]], "calibration": "on"}')
+    (d / "reversed.json").write_text('{"selected": [[1, 0]], "calibration": "on"}')
+    (d / "beyond.json").write_text(  # scores.csv is 2 wide
+        '{"selected": [[0, 1], [1, 2]], "calibration": "on"}')
+    (d / "no_calibration.json").write_text('{"selected": [[0, 1]]}')
+    (d / "calibration_both.json").write_text('{"selected": [[0, 1]], "calibration": "both"}')
     (d / "wide_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
                                        "1,4,OD,0.1,0.1\n")  # p = 2
-    (d / "knockoff_pair.json").write_text('{"selected": [[0, 1], [0, 3]]}')  # (0, 3) is OD
+    (d / "knockoff_pair.json").write_text(  # (0, 3) is OD
+        '{"selected": [[0, 1], [0, 3]], "calibration": "on"}')
     (d / "train_foo.json").write_text('{"train": {"foo": 1}}')
     (d / "n_abc.json").write_text('{"n": "abc"}')
     huge = np.random.default_rng(0).uniform(size=(40, 10)) * 1e200  # finite; cov overflows
@@ -552,6 +577,8 @@ def malformed_dir(tmp_path_factory):
         ",".join(map(repr, row)) + "\n" for row in huge.tolist()))
     (d / "task_poisson_cfg.json").write_text(json.dumps(
         {"task": "poisson", "output_dir": str(d / "task_out")}))
+    (d / "task_binary_cfg.json").write_text(json.dumps(
+        {"task": "binary", "output_dir": str(d / "task_out")}))
     return d
 
 
@@ -702,6 +729,28 @@ def test_cli_run_config_with_other_options_is_a_usage_error(options, tmp_path, c
     assert (tmp_path / "alone" / "report.json").exists()
 
 
+@pytest.mark.parametrize("options", [["--n", "4000"], ["--p", "99", "--functions", "F9"],
+                                     ["--functions", "F1", "--repetitions", "1"]],
+                         ids=["default_n", "p_functions", "default_functions"])
+def test_cli_run_dataset_with_simulation_options_is_a_usage_error(options, tmp_path, capsys):
+    # An external dataset replaces the simulation, so its function ids and
+    # sizes would be ignored: they are refused, even at their default values.
+    (tmp_path / "data.csv").write_text(_external_csv())
+    out = tmp_path / "exp"
+    argv = ["run", "--dataset", str(tmp_path / "data.csv"), "--response-column", "resp",
+            "--epochs", "1", "--no-intermediates"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        _run_cli([*argv, *options, "--out", str(out)])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    named = err.splitlines()[-1].partition("it cannot be given with ")[2].split(", ")
+    assert set(named) == set(options) & {"--functions", "--n", "--p"}, err
+    assert not out.exists()
+    assert _run_cli([*argv, "--repetitions", "1", "--out", str(tmp_path / "alone")]) == 0
+    assert (tmp_path / "alone" / "report.json").exists()
+
+
 @pytest.mark.parametrize("dataset", [False, True], ids=["simulated", "external"])
 def test_cli_run_baselines_of_wrong_width_stop_before_any_cell(dataset, tmp_path, capsys):
     # Vectors must be 2p long: 20 for p = 10, 8 for the 4-feature dataset.
@@ -846,7 +895,7 @@ def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path, function_id):
                     save_intermediates=True, hidden_sizes=(8, 6, 4),
                     attribution=AttributionConfig(alpha_steps=4, beta_steps=4, sample_cap=20),
                     **external)
-    run_experiment(cfg)
+    results = run_experiment(cfg)["results"][function_id]
     rep = Path(cfg.output_dir) / f"{function_id}_rep000"
     again = tmp_path / "again"
     data_dir = Path(cfg.output_dir) if external else rep
@@ -881,10 +930,19 @@ def test_cli_stages_rerun_a_repetition_byte_identically(tmp_path, function_id):
                 stem = f"selection_{method}_cal_{calibration}_coupling_{coupling}"
                 rerun("select", "--scores", rep / scores, "--q", cfg.q, *raw,
                       "--json-out", again / f"{stem}.json", "--csv-out", again / f"{stem}.csv")
+                if external:
+                    continue  # no ground truth to evaluate against
+                # evaluate ranks the scores the selection's arm ranked.
+                rerun("evaluate", "--selection", rep / f"{stem}.json", "--scores", rep / scores,
+                      "--manifest", manifest, "--out", tmp_path / "eval" / f"{stem}.json")
+                arm = f"{method}|calibration_{calibration}|coupling_{coupling}"
+                assert (json.loads((tmp_path / "eval" / f"{stem}.json").read_text())
+                        == results[arm]["repetitions"][0]["eval"]), arm
     rerun_files = sorted(again.iterdir())
     assert len(rerun_files) == 2 + 2 * (2 + 2 * (1 + 2 * 2))
     for path in rerun_files:
         assert path.read_bytes() == (rep / path.name).read_bytes(), path.name
+    assert len(list((tmp_path / "eval").glob("*.json"))) == (0 if external else 8)
 
 
 def test_cli_run_subcommand(tmp_path):

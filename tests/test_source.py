@@ -62,6 +62,25 @@ def test_only_network_reads_filter_weights(path):
     assert filter_weight_reads(path.read_text()) == []
 
 
+def score_matrix_reads(source: str) -> list:
+    """Lines that read attribute ``calibrated`` or ``s2d``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("calibrated", "s2d"))
+
+
+def test_score_matrix_reads_detected():
+    assert score_matrix_reads("S = scores.calibrated\nb = 1\nc = abs(x.s2d) + x.s1d\n") == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name not in ("importance.py", "harness.py")],
+                         ids=lambda p: p.name)
+def test_only_importance_and_harness_read_score_matrices(path):
+    # harness.arm_scores alone chooses the matrix an arm ranks (calibrated or
+    # raw |2D|), so run and evaluate cannot rank different scores.
+    assert score_matrix_reads(path.read_text()) == []
+
+
 PARAM_TABLE = ("named_params", "_param_fields")  # the table and its inverse
 
 
