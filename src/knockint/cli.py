@@ -287,7 +287,7 @@ def _check_run_options(argv, args):
             dest for dest in given if dest not in ("config", "out")]
     elif args.dataset:
         source, ignored = "--dataset replaces the simulation", [
-            dest for dest in given if dest in ("functions", "n", "p")]
+            dest for dest in given if dest in harness.SIMULATION_FIELDS]
     else:
         return
     if ignored:

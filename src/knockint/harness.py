@@ -39,6 +39,8 @@ from .table import write_json, write_table
 
 ON_OFF = ("on", "off")
 
+SIMULATION_FIELDS = ("functions", "n", "p")  # the settings only a simulation reads
+
 KNOCKOFF_SUBSTITUTION_NOTE = (
     "Knockoffs are second-order Gaussian constructions fitted to empirical "
     "moments (features are not Gaussian); reported FDP is empirical."
@@ -109,12 +111,23 @@ class ExperimentConfig:
             self.attribution.check_baselines(2 * self.p)
 
     def to_dict(self):
+        """The config as JSON values; a dataset's config leaves out the
+        ``SIMULATION_FIELDS``, which its run does not read."""
         d = asdict(self)
         d["hidden_sizes"] = list(self.hidden_sizes)
+        if self.dataset is not None:
+            for name in SIMULATION_FIELDS:
+                del d[name]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config a JSON object holds; one with a dataset may not set the
+        ``SIMULATION_FIELDS``, which its run would ignore."""
+        given = [name for name in SIMULATION_FIELDS if name in d]
+        if d.get("dataset") is not None and given:
+            raise ValidationError(f"config fields {', '.join(given)} are read by a "
+                                  f"simulation only; a config with a dataset may not set them")
         return _from_json(cls, d)
 
 

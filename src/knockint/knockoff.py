@@ -98,10 +98,10 @@ def fit_gaussian(X: np.ndarray, ridge: float = 0.0,
     if not 0 < s_scale <= 1:
         raise ConfigurationError("s_scale must lie in (0, 1]")
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        variances = X.var(axis=0)
+        constant = np.ptp(X, axis=0) == 0  # exact: a constant's variance may round above 0
         sigma = np.atleast_2d(np.cov(X, rowvar=False))
-    if ridge == 0.0 and np.any(variances == 0):
-        raise DegenerateFeatureError(np.flatnonzero(variances == 0))
+    if ridge == 0.0 and np.any(constant):
+        raise DegenerateFeatureError(np.flatnonzero(constant))
     if not np.all(np.isfinite(sigma)):
         raise ContractViolation("the covariance of X is not finite (it overflows float64); "
                                 "rescale the features")

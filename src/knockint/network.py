@@ -25,25 +25,26 @@ coupling layer is the linear map ``h0 = z * x + z_tilde * x_ko``;
 space to the ``2p`` augmented inputs. No other module reads ``z`` or
 ``z_tilde``.
 
-``CoupledNetwork.named_params`` is the one table of parameters (``w0..w3``,
-``b0..b3``, then ``z, z_tilde``), ``_param_fields`` its inverse. ``train``
-keeps every parameter in one float64 buffer in that order and rebinds the
-network's arrays as views of it; gradients and the Adam moments live in
-matching buffers, so clipping and each Adam step are a handful of whole-buffer
-operations. Each of them rounds exactly as a per-parameter Adam loop would,
-and ``train`` is bit-identical to the reference loop kept in
-``tests/test_network.py``.
+``CoupledNetwork.named_params`` is the one table of parameters and their
+order (``w3, b3, w2, b2, w1, b1, w0, b0``, then ``z, z_tilde``), which the
+saved file, the training buffer and the clipping norm all follow;
+``_param_fields`` is its inverse. ``train`` keeps every parameter in one
+float64 buffer and rebinds the network's arrays as views of it; gradients and
+the Adam moments live in matching buffers, so clipping and each Adam step are
+a handful of whole-buffer operations. Each of them rounds exactly as a
+per-parameter Adam loop would, and ``train`` is bit-identical to the reference
+loop kept in ``tests/test_network.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import inf
-from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigurationError, ContractViolation, TrainingDivergedError, check_fields
+from .exceptions import (ConfigurationError, ContractViolation, TrainingDivergedError,
+                         ValidationError, check_fields)
 from .table import load_npz, save_npz
 
 TASKS = ("regression", "binary")
@@ -121,10 +122,11 @@ class CoupledNetwork:
             raise ContractViolation("network contains non-finite parameters")
 
     def named_params(self) -> dict:
-        """Every parameter array by name: ``w0..w3``, ``b0..b3``, then ``z`` and
-        ``z_tilde`` with coupling, the order of the saved file's arrays."""
-        params = {f"w{l}": w for l, w in enumerate(self.w)}
-        params.update({f"b{l}": b for l, b in enumerate(self.b)})
+        """Every parameter array by name, in the order backpropagation makes
+        their gradients: ``w3, b3, w2, b2, w1, b1, w0, b0``, then ``z`` and
+        ``z_tilde`` with coupling. Every layout of the parameters is this one."""
+        params = {name: a for l in (3, 2, 1, 0)
+                  for name, a in ((f"w{l}", self.w[l]), (f"b{l}", self.b[l]))}
         if self.coupling:
             params.update(z=self.z, z_tilde=self.z_tilde)
         return params
@@ -140,7 +142,10 @@ def _param_fields(params, coupling: bool) -> dict:
 
 def check_hidden_sizes(hidden_sizes) -> tuple:
     """``hidden_sizes`` as a tuple, checked to hold three positive integers."""
-    sizes = tuple(hidden_sizes)
+    try:
+        sizes = tuple(hidden_sizes)
+    except TypeError:  # one number, or None
+        sizes = (hidden_sizes,)
     if len(sizes) != 3 or not all(isinstance(h, (int, np.integer)) and not isinstance(h, bool)
                                   and h >= 1 for h in sizes):
         raise ConfigurationError(f"need 3 positive integer hidden sizes, got {list(sizes)}")
@@ -340,26 +345,14 @@ def mean_input_hessian(net: CoupledNetwork, X_aug: np.ndarray, weights=None) -> 
     return pull_back(net, (H + H.T) / 2.0, (-2, -1))
 
 
-class _Flat(NamedTuple):
-    """One float64 buffer and a network whose parameters are views of it.
-
-    Layout: ``named_params``' order, so the MLP weights are the first slice
-    and the filter weights (coupling only) the last ``2p`` entries.
-    """
-
-    buf: np.ndarray
-    net: CoupledNetwork
-
-
-def _flatten(net: CoupledNetwork, buf: np.ndarray | None = None) -> _Flat:
-    """Copy ``net``'s parameters into a new buffer, or view ``buf`` laid out alike."""
+def _on_buffer(net: CoupledNetwork, buf: np.ndarray) -> CoupledNetwork:
+    """A copy of ``net`` whose parameters are views of the flat ``buf``, one
+    after another in ``named_params``' order."""
     params = net.named_params()
-    if buf is None:
-        buf = np.concatenate([a.ravel() for a in params.values()], dtype=float)
     ends = np.cumsum([a.size for a in params.values()])
     views = {name: buf[end - a.size:end].reshape(a.shape)
              for (name, a), end in zip(params.items(), ends)}
-    return _Flat(buf, replace(net, **_param_fields(views, net.coupling)))
+    return replace(net, **_param_fields(views, net.coupling))
 
 
 def _data_loss(task: str, out: np.ndarray, y: np.ndarray):
@@ -374,10 +367,10 @@ def _data_loss(task: str, out: np.ndarray, y: np.ndarray):
     return np.mean(resid ** 2), 2.0 * resid / n
 
 
-def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndarray,
-                          l1_filter: float, l1_mlp: float):
-    """Mean penalized loss over the batch; writes every gradient into ``grads``."""
-    net, g_net = params.net, grads.net
+def _loss_and_param_grads(net: CoupledNetwork, g_net: CoupledNetwork, X: np.ndarray,
+                          y: np.ndarray, l1_filter: float, l1_mlp: float):
+    """Mean penalized loss of ``net`` over the batch; writes every gradient
+    into the parameter of the same name in ``g_net``."""
     inputs, _, elu_prime, out = _forward_pass(net, X)
     loss, dout = _data_loss(net.task, out, y)
 
@@ -388,7 +381,6 @@ def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndar
         if l:
             g = g @ net.w[l].T
             g *= elu_prime[l - 1]
-    n_w = sum(w.size for w in net.w)
     if net.coupling:
         p = net.p
         g = g @ net.w[0].T  # only the filter weights read the input gradient
@@ -396,11 +388,12 @@ def _loss_and_param_grads(params: _Flat, grads: _Flat, X: np.ndarray, y: np.ndar
         np.add.reduce(X[:, p:] * g, axis=0, out=g_net.z_tilde)
         if l1_filter > 0:
             loss += l1_filter * (np.abs(net.z).sum() + np.abs(net.z_tilde).sum())
-            grads.buf[-2 * p:] += l1_filter * np.sign(params.buf[-2 * p:])
+            g_net.z += l1_filter * np.sign(net.z)
+            g_net.z_tilde += l1_filter * np.sign(net.z_tilde)
     if l1_mlp > 0:
         for l in range(4):
             loss += l1_mlp * np.abs(net.w[l]).sum()
-        grads.buf[:n_w] += l1_mlp * np.sign(params.buf[:n_w])
+            g_net.w[l] += l1_mlp * np.sign(net.w[l])
     return loss
 
 
@@ -436,8 +429,8 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     n = X_aug.shape[0]
     n_val = check_training_rows(cfg, n)
 
-    params = _flatten(net)
-    net = params.net
+    theta = np.concatenate([a.ravel() for a in net.named_params().values()], dtype=float)
+    net = _on_buffer(net, theta)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
@@ -453,18 +446,14 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
         if n_val:
             yval = (yval - net.y_mean) / net.y_std
 
-    theta = params.buf
-    grads = _flatten(net, np.zeros_like(theta))
-    grad = grads.buf
+    grad = np.zeros_like(theta)
+    g_net = _on_buffer(net, grad)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     tmp, tmp2 = np.empty_like(theta), np.empty_like(theta)
     # norm_terms view tmp, which holds grad * grad when clipping. The norm adds
-    # one sum per parameter, output layer first: one sum over the buffer, or
+    # one sum per parameter in named_params' order: one sum over the buffer, or
     # another order, would move the last bits of every trained network.
-    sq = _flatten(net, tmp).net
-    norm_terms = [t for l in (3, 2, 1, 0) for t in (sq.w[l], sq.b[l])]
-    if net.coupling:
-        norm_terms += [sq.z, sq.z_tilde]
+    norm_terms = list(_on_buffer(net, tmp).named_params().values())
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
     step = 0
@@ -477,7 +466,7 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
         epoch_losses = []
         for start in range(0, n_tr, cfg.batch_size):
             stop = start + cfg.batch_size
-            loss = _loss_and_param_grads(params, grads, X_ep[start:stop], y_ep[start:stop],
+            loss = _loss_and_param_grads(net, g_net, X_ep[start:stop], y_ep[start:stop],
                                          cfg.l1_filter_penalty, cfg.l1_mlp_penalty)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
@@ -521,8 +510,21 @@ def save_network(net: CoupledNetwork, path):
 
 
 def load_network(path) -> CoupledNetwork:
+    """The network ``save_network`` wrote to ``path``. Raises ``ValidationError``
+    naming the file when its task or hidden sizes are not a network's, or an
+    array is not of the shape and dtype ``init_network`` gives them."""
     meta, data = load_npz(path, SERIALIZATION_VERSION)
     coupling = bool(meta["coupling"])
-    return CoupledNetwork(**_param_fields(data, coupling), task=meta["task"],
-                          hidden_sizes=tuple(meta["hidden_sizes"]), coupling=coupling,
-                          y_mean=float(meta["y_mean"]), y_std=float(meta["y_std"]))
+    fields = _param_fields(data, coupling)
+    w0 = fields["w"][0]
+    try:
+        template = init_network(w0.shape[0] // (1 if coupling else 2) if w0.ndim else 0,
+                                meta["hidden_sizes"], meta["task"], coupling=coupling)
+    except ConfigurationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    for name, a in template.named_params().items():
+        if (data[name].shape, data[name].dtype) != (a.shape, a.dtype):
+            raise ValidationError(f"{path}: array {name} is {data[name].dtype} of shape "
+                                  f"{data[name].shape}, expected {a.dtype} of shape {a.shape}")
+    return replace(template, **fields, y_mean=float(meta["y_mean"]),
+                   y_std=float(meta["y_std"]))

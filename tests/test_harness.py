@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from knockint.exceptions import ConfigurationError, TrainingDivergedError, ValidationError
-from knockint.harness import (ExperimentConfig, derive_seed, oo_score_map,
+from knockint.harness import (SIMULATION_FIELDS, ExperimentConfig, derive_seed, oo_score_map,
                               run_experiment, run_repetition, selected_original_pairs)
 from knockint.importance import METHODS, AttributionConfig
 from knockint.knockoff import write_augmented_csv
-from knockint.network import TrainConfig
+from knockint.network import TrainConfig, init_network
 from knockint.simsuite import SimulationSpec, read_dataset_csv
+from knockint.table import save_npz
 from knockint import cli
 
 
@@ -68,6 +69,10 @@ def test_config_roundtrip():
                            train=TrainConfig(epochs=7))
     back = ExperimentConfig.from_dict(cfg.to_dict())
     assert back == cfg
+    # A dataset's config leaves out the settings only a simulation reads.
+    cfg = ExperimentConfig(dataset="x.csv", response_column="y", q=0.1)
+    assert set(SIMULATION_FIELDS).isdisjoint(cfg.to_dict())
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_config_rejects_unknown_fields():
@@ -313,6 +318,8 @@ def test_run_experiment_external_csv(tmp_path):
     # no ground truth for external data: selections only, no eval block
     assert "aggregate" not in entry
     assert "selection" in entry["repetitions"][0]
+    # the report's config records only settings the run read, and reads back
+    assert ExperimentConfig.from_dict(report["config"]).to_dict() == report["config"]
 
 
 def test_run_experiment_reads_dataset_once(tmp_path, monkeypatch):
@@ -417,6 +424,14 @@ MALFORMED_INPUTS = {
                                "--out {d}/x.csv", "nometa.npz"),
     "score_net_knockoff_model": ("score --net {d}/model.npz --augmented {d}/aug.csv "
                                  "--out {d}/x.csv", "model.npz"),
+    "score_net_w1_wrong_shape": ("score --net {d}/w1_5x32.npz --augmented {d}/aug.csv "
+                                 "--out {d}/x.csv", "w1_5x32.npz: array w1 "),
+    "score_net_z_wrong_length": ("score --net {d}/z_3.npz --augmented {d}/aug.csv "
+                                 "--out {d}/x.csv", "z_3.npz: array z "),
+    "score_net_task_poisson": ("score --net {d}/net_poisson.npz --augmented {d}/aug.csv "
+                               "--out {d}/x.csv", "net_poisson.npz: unknown task"),
+    "score_net_hidden_sizes_number": ("score --net {d}/net_hidden_5.npz --augmented {d}/aug.csv "
+                                      "--out {d}/x.csv", "net_hidden_5.npz: need 3"),
     "select_scores_binary": ("select --scores {d}/model.npz --json-out {d}/x.json",
                              "model.npz"),
     "select_scores_odd_width": ("select --scores {d}/odd_scores.csv --json-out {d}/x.json",
@@ -473,6 +488,8 @@ MALFORMED_INPUTS = {
     "score_augmented_without_ko_columns": ("score --net {d}/net.npz --augmented {d}/data.csv "
                                            "--out {d}/x.csv", "data.csv"),
     "run_config_task_poisson": ("run --config {d}/task_poisson_cfg.json", "task"),
+    "run_config_dataset_sets_simulation_fields": ("run --config {d}/dataset_sizes_cfg.json",
+                                                  "functions, n, p"),
     "run_simulation_task_binary": ("run --functions F6 --p 10 --n 60 --repetitions 1 "
                                    "--epochs 1 --task binary --no-intermediates "
                                    "--out {d}/binary_out", "task"),
@@ -557,6 +574,14 @@ def malformed_dir(tmp_path_factory):
     (d / "reversed_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
                                            "2,1,OO,0.7,0.7\n")
     (d / "text.txt").write_text("not an array\n")
+    net = init_network(10).named_params()  # saved as save_network would, with one change
+    meta = dict(task="regression", hidden_sizes=[64, 32, 16], coupling=True, y_mean=0.0,
+                y_std=1.0)
+    for name, arrays, entries in (("w1_5x32", {"w1": np.zeros((5, 32))}, {}),
+                                  ("z_3", {"z": np.zeros(3)}, {}),
+                                  ("net_poisson", {}, {"task": "poisson"}),
+                                  ("net_hidden_5", {}, {"hidden_sizes": 5})):
+        save_npz(d / f"{name}.npz", 1, {**net, **arrays}, **{**meta, **entries})
     np.savez(d / "nometa.npz", w0=np.zeros(2))
     (d / "list.json").write_text("[1]")
     (d / "empty.json").write_text("{}")
@@ -579,6 +604,10 @@ def malformed_dir(tmp_path_factory):
         {"task": "poisson", "output_dir": str(d / "task_out")}))
     (d / "task_binary_cfg.json").write_text(json.dumps(
         {"task": "binary", "output_dir": str(d / "task_out")}))
+    (d / "dataset_sizes_cfg.json").write_text(json.dumps(  # a run would ignore all three
+        {"dataset": str(d / "data.csv"), "response_column": "y", "functions": ["F9"],
+         "n": 17, "p": 99, "repetitions": 1, "train": {"epochs": 1, "batch_size": 16},
+         "save_intermediates": False, "output_dir": str(d / "dataset_sizes_out")}))
     return d
 
 
@@ -755,14 +784,15 @@ def test_cli_run_dataset_with_simulation_options_is_a_usage_error(options, tmp_p
 def test_cli_run_baselines_of_wrong_width_stop_before_any_cell(dataset, tmp_path, capsys):
     # Vectors must be 2p long: 20 for p = 10, 8 for the 4-feature dataset.
     out = tmp_path / "exp"
-    cfg = {"functions": ["F6"], "n": 200, "p": 10, "repetitions": 2, "train": {"epochs": 1},
-           "method": "instance_based", "attribution": {"baselines": [[0.0] * 9]},
-           "save_intermediates": False, "output_dir": str(out)}
+    cfg = {"repetitions": 2, "train": {"epochs": 1}, "method": "instance_based",
+           "attribution": {"baselines": [[0.0] * 9]}, "save_intermediates": False,
+           "output_dir": str(out)}
     if dataset:
         (tmp_path / "data.csv").write_text(_external_csv())
         cfg.update(dataset=str(tmp_path / "data.csv"), response_column="resp",
                    attribution={"baselines": [[0.0] * 20]})
     else:
+        cfg.update(functions=["F6"], n=200, p=10)
         with pytest.raises(ConfigurationError, match="attribution.baselines"):
             ExperimentConfig.from_dict(cfg)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -825,13 +855,15 @@ def test_cli_run_checks_training_rows_before_any_cell(train, dataset, named, tmp
     # Every cell trains on half of the 20 rows, so each would fail alike:
     # the run stops with one line before any cell, and writes no report.
     out = tmp_path / "exp"
-    cfg = {"functions": ["F6"], "n": 20, "p": 10, "repetitions": 2,
-           "train": {"epochs": 1, **train}, "save_intermediates": False, "output_dir": str(out)}
+    cfg = {"repetitions": 2, "train": {"epochs": 1, **train}, "save_intermediates": False,
+           "output_dir": str(out)}
     if dataset:
         rows = np.random.default_rng(0).uniform(size=(20, 4))
         (tmp_path / "data.csv").write_text(
             "a,b,c,resp\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
         cfg.update(dataset=str(tmp_path / "data.csv"), response_column="resp")
+    else:
+        cfg.update(functions=["F6"], n=20, p=10)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     capsys.readouterr()
     assert _run_cli(["run", "--config", str(tmp_path / "cfg.json")]) == 2

@@ -89,12 +89,16 @@ def test_fit_duplicated_column_with_ridge(rng):
     assert np.all(model.s > 0)
 
 
-def test_fit_constant_column_degenerate_error(rng):
-    X = rng.standard_normal((100, 3))
-    X[:, 1] = 7.0
+@pytest.mark.parametrize("n", [3, 10, 1000])
+@pytest.mark.parametrize("value", [7.0, 0.1, 0.7, 0.3, 1 / 3])
+def test_fit_constant_column_degenerate_error(rng, value, n):
+    # The mean of a column of 0.1 rounds away from 0.1, so its variance is
+    # about 1e-33 and not 0; constancy is tested exactly.
+    X = rng.standard_normal((n, 3))
+    X[:, 1] = value
     with pytest.raises(DegenerateFeatureError) as err:
         fit_gaussian(X, ridge=0.0)
-    assert 1 in list(err.value.columns)
+    assert list(err.value.columns) == [1]
 
 
 def test_fit_s_scale_validation(rng):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from knockint.exceptions import (ConfigurationError, ContractViolation,
                                  TrainingDivergedError, ValidationError)
-from knockint.network import (HESSIAN_BLOCK, CoupledNetwork, TrainConfig, _flatten,
-                              _forward_pass, _loss_and_param_grads, _sigmoid,
+from knockint.network import (HESSIAN_BLOCK, CoupledNetwork, TrainConfig,
+                              _forward_pass, _loss_and_param_grads, _on_buffer, _sigmoid,
                               batch_input_gradient,
                               batch_input_hessian, init_network, load_network,
                               mean_input_hessian, predict, pull_back, raw_output,
@@ -736,21 +736,22 @@ def test_param_gradients_match_central_differences(coupling, task):
     y = (X[:, 0] > 0).astype(float) if task == "binary" else X[:, 0] * X[:, 1]
     l1_filter, l1_mlp = 0.05, 0.03
 
-    params = _flatten(net)
-    grads = _flatten(params.net, np.zeros_like(params.buf))
-    _loss_and_param_grads(params, grads, X, y, l1_filter, l1_mlp)
-    scratch = _flatten(params.net, np.zeros_like(params.buf))
+    theta = np.concatenate([a.ravel() for a in net.named_params().values()])
+    net = _on_buffer(net, theta)
+    grad = np.zeros_like(theta)
+    _loss_and_param_grads(net, _on_buffer(net, grad), X, y, l1_filter, l1_mlp)
+    scratch = _on_buffer(net, np.zeros_like(theta))
     h = 1e-5
-    fd = np.zeros_like(params.buf)
-    for k in range(params.buf.size):
-        x0 = params.buf[k]
-        params.buf[k] = x0 + h
-        up = _loss_and_param_grads(params, scratch, X, y, l1_filter, l1_mlp)
-        params.buf[k] = x0 - h
-        down = _loss_and_param_grads(params, scratch, X, y, l1_filter, l1_mlp)
-        params.buf[k] = x0
+    fd = np.zeros_like(theta)
+    for k in range(theta.size):
+        x0 = theta[k]
+        theta[k] = x0 + h
+        up = _loss_and_param_grads(net, scratch, X, y, l1_filter, l1_mlp)
+        theta[k] = x0 - h
+        down = _loss_and_param_grads(net, scratch, X, y, l1_filter, l1_mlp)
+        theta[k] = x0
         fd[k] = (up - down) / (2 * h)
-    np.testing.assert_allclose(grads.buf, fd, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
 
 
 # ---------------------------------------------------------------- serialization
@@ -775,16 +776,20 @@ def test_network_roundtrip_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("coupling", [True, False], ids=["coupling", "dense"])
 def test_file_and_training_buffer_share_one_layout(coupling, tmp_path):
-    # The saved file's arrays and the training buffer follow one order; the
-    # file's order is what keeps saved networks byte-identical.
+    # The saved file's arrays and the training buffer follow one order, the
+    # order backpropagation makes the gradients in; the file's order is what
+    # keeps saved networks byte-identical.
     net = random_network(p=3, seed=2, coupling=coupling)
-    names = [f"w{l}" for l in range(4)] + [f"b{l}" for l in range(4)]
+    names = [f"{k}{l}" for l in (3, 2, 1, 0) for k in "wb"]
     names += ["z", "z_tilde"] if coupling else []
     save_network(net, tmp_path / "net.npz")
     with np.load(tmp_path / "net.npz") as data:
         assert data.files == names + ["meta"]
         raveled = np.concatenate([data[name].ravel() for name in names])
-    assert np.array_equal(_flatten(net).buf, raveled)
+    on_buffer = _on_buffer(net, raveled).named_params()
+    assert list(on_buffer) == names
+    for a, b in zip(net.named_params().values(), on_buffer.values(), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_no_coupling_network_roundtrip(tmp_path):

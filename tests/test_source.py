@@ -112,6 +112,39 @@ def test_only_the_parameter_table_spells_parameter_names():
     assert param_name_spellings(network.read_text()) == []
 
 
+# The names network.py gives a flat buffer of every parameter: _on_buffer's
+# argument, train's parameters and gradients, the Adam moments and scratch.
+PARAM_BUFFERS = ("buf", "theta", "grad", "m", "v", "tmp", "tmp2")
+
+
+def buffer_subscripts(source: str) -> list:
+    """Lines outside ``_on_buffer`` that index or slice a name or attribute in
+    ``PARAM_BUFFERS``."""
+    tree = ast.parse(source)
+    layout = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_on_buffer"
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and id(node) not in layout
+                  and getattr(node.value, "id", getattr(node.value, "attr", None))
+                  in PARAM_BUFFERS)
+
+
+def test_buffer_subscripts_detected():
+    source = ("g = grads.buf[:n_w]\ntheta[k] = 1\nx = X[:, :p]\n"
+              "def _on_buffer(net, buf):\n    return buf[0:3]\nd = tmp[-2 * p:]\n"
+              "e = net.w[0][:2]\n")
+    assert buffer_subscripts(source) == [1, 2, 6]
+
+
+def test_only_on_buffer_lays_out_the_parameter_buffer():
+    # _on_buffer alone knows where a parameter sits in the flat buffer; train
+    # and its gradients reach each parameter by name through the views it
+    # makes, so no offset assumes an order of the parameter table.
+    network = Path(knockint.__file__).parent / "network.py"
+    assert buffer_subscripts(network.read_text()) == []
+
+
 # json.dumps may still print to stdout; these four read or write a file.
 FILE_FORMAT_CALLS = {("json", "load"), ("json", "dump"), ("np", "load"), ("np", "savez")}
 
