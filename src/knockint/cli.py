@@ -18,8 +18,7 @@ from pathlib import Path
 from . import harness
 from .exceptions import KnockintError, ValidationError
 from .fdr import write_selection_csv, write_selection_json
-from .importance import (METHODS, AttributionConfig, compute_scores, read_scores_csv,
-                         write_scores_csv)
+from .importance import AttributionConfig, compute_scores, read_scores_csv, write_scores_csv
 from .knockoff import knockoff_diagnostics, read_augmented_csv, save_model, write_augmented_csv
 from .network import HIDDEN_SIZES, TASKS, TrainConfig, load_network, save_network
 from .simsuite import (SimulationSpec, generate, held_out, read_dataset_csv, read_manifest,
@@ -137,8 +136,9 @@ def cmd_evaluate(args):
     selection = read_json(args.selection)
     if not index_pairs(selection["selected"]):
         raise ValidationError(f"{args.selection}: 'selected' must be a list of index pairs")
-    if selection["calibration"] not in harness.ON_OFF:
-        raise ValidationError(f"{args.selection}: 'calibration' must be 'on' or 'off'")
+    if selection["calibration"] not in harness.AXES["calibration"]:
+        raise ValidationError(f"{args.selection}: 'calibration' must be "
+                              + " or ".join(map(repr, harness.AXES["calibration"])))
     *_, truth = read_manifest(args.manifest)
     if truth is None:
         raise KnockintError(f"{args.manifest}: manifest carries no ground-truth pairs")
@@ -216,7 +216,8 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest")
     p.add_argument("--augmented", required=True)
     p.add_argument("--hidden", type=hidden_sizes, default=HIDDEN_SIZES)
-    _fields(p, harness.ExperimentConfig, "coupling", coupling={"choices": harness.ON_OFF})
+    _fields(p, harness.ExperimentConfig, "coupling",
+            coupling={"choices": harness.AXES["coupling"]})
     _fields(p, TrainConfig, *TRAIN_FIELDS, "validation_fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--net-out", required=True)
@@ -227,7 +228,8 @@ def build_parser() -> _Parser:
     p.add_argument("--net", required=True)
     p.add_argument("--augmented", required=True)
     p.add_argument("--manifest")
-    _fields(p, harness.ExperimentConfig, "method", method={"choices": METHODS})
+    _fields(p, harness.ExperimentConfig, "method",
+            method={"choices": harness.AXES["method"]})
     _fields(p, AttributionConfig, "alpha_steps", "beta_steps", "sample_cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
@@ -261,11 +263,9 @@ def _run_options(p):
     _fields(p, harness.ExperimentConfig, "functions")
     p.add_argument("--dataset", help="external CSV instead of simulation")
     p.add_argument("--response-column")
-    _fields(p, harness.ExperimentConfig, "task", "n", "p", "q", "repetitions", "method",
-            "calibration", "coupling", task={"choices": TASKS},
-            method={"choices": METHODS + ("both",)},
-            calibration={"choices": harness.ON_OFF + ("both",)},
-            coupling={"choices": harness.ON_OFF + ("both",)})
+    _fields(p, harness.ExperimentConfig, "task", "n", "p", "q", "repetitions", *harness.AXES,
+            task={"choices": TASKS}, **{axis: {"choices": choices + ("both",)}
+                                        for axis, choices in harness.AXES.items()})
     _fields(p, TrainConfig, *TRAIN_FIELDS)
     _fields(p, harness.ExperimentConfig, "s_scale", "seed")
     p.add_argument("--no-intermediates", action="store_true")

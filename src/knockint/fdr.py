@@ -48,7 +48,7 @@ class SelectionResult:
     estimated_fdp: float | None
     q: float
     counts: dict = field(default_factory=dict)
-    calibration: str | None = None  # an arm's scores, "on" or "off" (harness.select_arm)
+    calibration: str | None = None  # an arm's harness.CALIBRATIONS key (select_arm)
 
     @property
     def feasible(self) -> bool:

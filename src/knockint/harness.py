@@ -37,7 +37,12 @@ from .simsuite import (Dataset, SimulationSpec, generate, held_out, read_dataset
                        training_rows, write_dataset_csv)
 from .table import write_json, write_table
 
-ON_OFF = ("on", "off")
+# Per calibration, the 2p x 2p matrix an arm ranks: calibrated or raw |2D| scores.
+CALIBRATIONS = {"on": lambda scores: scores.calibrated,
+                "off": lambda scores: np.abs(scores.s2d)}
+
+# The axes a run crosses into arms; a config picks one choice of each, or "both".
+AXES = {"method": METHODS, "calibration": tuple(CALIBRATIONS), "coupling": ("on", "off")}
 
 SIMULATION_FIELDS = ("functions", "n", "p")  # the settings only a simulation reads
 
@@ -58,8 +63,9 @@ def default_train_config() -> TrainConfig:
     return TrainConfig()
 
 
-def _expand(value, allowed) -> list:
-    return list(allowed) if value == "both" else [value]
+def _expand(cfg, axis) -> list:
+    value = getattr(cfg, axis)
+    return list(AXES[axis]) if value == "both" else [value]
 
 
 @dataclass(frozen=True)
@@ -72,9 +78,9 @@ class ExperimentConfig:
     p: int = 30
     q: float = 0.2
     repetitions: int = 10
-    method: str = "model_based"         # model_based | instance_based | both
-    calibration: str = "on"             # on | off | both
-    coupling: str = "on"                # on | off | both
+    method: str = "model_based"         # AXES["method"] or "both"
+    calibration: str = "on"             # AXES["calibration"] or "both"
+    coupling: str = "on"                # AXES["coupling"] or "both"
     hidden_sizes: tuple = HIDDEN_SIZES
     train: TrainConfig = field(default_factory=TrainConfig)
     attribution: AttributionConfig = field(default_factory=AttributionConfig)
@@ -94,9 +100,8 @@ class ExperimentConfig:
             ("s_scale", 0 < self.s_scale <= 1, "in (0, 1]"),
             ("ridge", 0 <= self.ridge < inf, "in [0, inf)"),
             ("task", self.task in TASKS, f"one of {TASKS}"),
-            ("method", self.method in METHODS + ("both",), f"one of {METHODS} or 'both'"),
-            ("calibration", self.calibration in ON_OFF + ("both",), f"one of {ON_OFF} or 'both'"),
-            ("coupling", self.coupling in ON_OFF + ("both",), f"one of {ON_OFF} or 'both'")))
+            *((axis, getattr(self, axis) in choices + ("both",), f"one of {choices} or 'both'")
+              for axis, choices in AXES.items())))
         check_hidden_sizes(self.hidden_sizes)
         if self.dataset is None:  # every function, before any cell runs
             check_fields(self, (  # settings a simulation would ignore
@@ -185,22 +190,16 @@ def fit_network(dataset: Dataset, X_aug, coupling: str, hidden_sizes, train_cfg,
     return train(net, X_aug[:dataset.n_train], dataset.train[1], train_cfg, seed)
 
 
-def arm_scores(scores, calibration: str) -> np.ndarray:
-    """The 2p x 2p matrix an arm ranks: calibrated scores, or raw |2D| ones with
-    calibration off."""
-    return scores.calibrated if calibration == "on" else np.abs(scores.s2d)
-
-
 def select_arm(scores, calibration: str, q: float) -> tuple:
     """``(gamma, selection)`` of the arm's scores; the selection records ``calibration``."""
-    gamma = build_gamma(arm_scores(scores, calibration))
+    gamma = build_gamma(CALIBRATIONS[calibration](scores))
     return gamma, replace(interaction_threshold(gamma, q), calibration=calibration)
 
 
 def score_selection(scores, selection: dict, truth) -> EvalReport:
     """A selection, as ``SelectionResult.to_dict`` writes it, on the scores its
     arm ranked, against 1-based ``truth``."""
-    S = arm_scores(scores, selection["calibration"])
+    S = CALIBRATIONS[selection["calibration"]](scores)
     p = S.shape[0] // 2
     return evaluate(oo_score_map(S, p), selected_original_pairs(selection["selected"], p), truth)
 
@@ -233,19 +232,19 @@ def run_repetition(cfg: ExperimentConfig, function_id: str, rep: int,
         write_augmented_csv(rep_dir / "augmented.csv", dataset.X, X_ko)
 
     results = {}
-    for coupling in _expand(cfg.coupling, ON_OFF):
+    for coupling in _expand(cfg, "coupling"):
         seed_net = derive_seed(cfg.seed, function_id, rep, "net", coupling)
         net, trace = fit_network(dataset, X_aug, coupling, cfg.hidden_sizes, cfg.train, seed_net)
         if rep_dir is not None:
             save_network(net, rep_dir / f"net_coupling_{coupling}.npz")
             write_json(rep_dir / f"trace_coupling_{coupling}.json", trace, compact=True)
 
-        for method in _expand(cfg.method, METHODS):
+        for method in _expand(cfg, "method"):
             scores = compute_scores(net, method, attribution_data, cfg.attribution)
             if rep_dir is not None:
                 write_scores_csv(
                     rep_dir / f"scores_{method}_coupling_{coupling}.csv", scores)
-            for calibration in _expand(cfg.calibration, ON_OFF):
+            for calibration in _expand(cfg, "calibration"):
                 gamma, selection = select_arm(scores, calibration, cfg.q)
                 arm = f"{method}|calibration_{calibration}|coupling_{coupling}"
                 entry = {"selection": selection.to_dict(),
@@ -366,9 +365,8 @@ def _write_report(outdir: Path, report: dict):
     summary, aggregates = [], []
     for function_id, arms in sorted(report["results"].items()):
         for arm, arm_report in sorted(arms.items()):
-            method, cal, coup = arm.split("|")
-            labels = [function_id, method, cal.removeprefix("calibration_"),
-                      coup.removeprefix("coupling_")]
+            labels = [function_id, *(part.removeprefix(f"{axis}_")
+                                     for axis, part in zip(AXES, arm.split("|")))]
             for entry in arm_report["repetitions"]:
                 ev = entry.get("eval", {})
                 threshold = entry["selection"]["threshold"]

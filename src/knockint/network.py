@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import inf
+from sys import float_info
 
 import numpy as np
 
@@ -509,12 +510,28 @@ def save_network(net: CoupledNetwork, path):
              y_mean=net.y_mean, y_std=net.y_std)
 
 
+def _meta_number(meta, name, low=-inf) -> float:
+    """``meta[name]``, checked to be a JSON number above ``low`` that a finite
+    float holds."""
+    value = meta[name]
+    if not (type(value) in (int, float) and abs(value) <= float_info.max and value > low):
+        raise ValidationError(f"{meta.path}: meta entry {name} must be a finite number"
+                              f"{'' if low == -inf else f' > {low}'}, got {value!r}")
+    return float(value)
+
+
 def load_network(path) -> CoupledNetwork:
     """The network ``save_network`` wrote to ``path``. Raises ``ValidationError``
-    naming the file when its task or hidden sizes are not a network's, or an
-    array is not of the shape and dtype ``init_network`` gives them."""
+    naming the file when its coupling is not a bool, its ``y_mean`` not a
+    finite number or its ``y_std`` not a positive one, its task or hidden
+    sizes are not a network's, or its arrays are not the ones ``init_network``
+    gives, by name, shape and dtype."""
     meta, data = load_npz(path, SERIALIZATION_VERSION)
-    coupling = bool(meta["coupling"])
+    coupling = meta["coupling"]
+    if type(coupling) is not bool:
+        raise ValidationError(f"{path}: meta entry coupling must be true or false, "
+                              f"got {coupling!r}")
+    y_mean, y_std = _meta_number(meta, "y_mean"), _meta_number(meta, "y_std", low=0)
     fields = _param_fields(data, coupling)
     w0 = fields["w"][0]
     try:
@@ -522,9 +539,13 @@ def load_network(path) -> CoupledNetwork:
                                 meta["hidden_sizes"], meta["task"], coupling=coupling)
     except ConfigurationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    for name, a in template.named_params().items():
+    params = template.named_params()
+    extra = sorted(data.keys() - params.keys())
+    if extra:
+        raise ValidationError(f"{path}: array {extra[0]} is not a parameter of a network "
+                              f"with coupling {str(coupling).lower()}")
+    for name, a in params.items():
         if (data[name].shape, data[name].dtype) != (a.shape, a.dtype):
             raise ValidationError(f"{path}: array {name} is {data[name].dtype} of shape "
                                   f"{data[name].shape}, expected {a.dtype} of shape {a.shape}")
-    return replace(template, **fields, y_mean=float(meta["y_mean"]),
-                   y_std=float(meta["y_std"]))
+    return replace(template, **fields, y_mean=y_mean, y_std=y_std)

@@ -432,6 +432,9 @@ MALFORMED_INPUTS = {
                                "--out {d}/x.csv", "net_poisson.npz: unknown task"),
     "score_net_hidden_sizes_number": ("score --net {d}/net_hidden_5.npz --augmented {d}/aug.csv "
                                       "--out {d}/x.csv", "net_hidden_5.npz: need 3"),
+    "score_net_coupled_saved_as_uncoupled": ("score --net {d}/net_coupling_false.npz "
+                                             "--augmented {d}/aug.csv --out {d}/x.csv",
+                                             "net_coupling_false.npz: array z "),
     "select_scores_binary": ("select --scores {d}/model.npz --json-out {d}/x.json",
                              "model.npz"),
     "select_scores_odd_width": ("select --scores {d}/odd_scores.csv --json-out {d}/x.json",
@@ -471,6 +474,10 @@ MALFORMED_INPUTS = {
                                             "--scores {d}/scores.csv "
                                             "--manifest {d}/data.manifest.json "
                                             "--out {d}/x.json", "calibration_both.json"),
+    "evaluate_selection_calibration_list": ("evaluate --selection {d}/calibration_list.json "
+                                            "--scores {d}/scores.csv "
+                                            "--manifest {d}/data.manifest.json "
+                                            "--out {d}/x.json", "calibration_list.json"),
     "run_functions_repeated": ("run --functions F6,F6 --p 10 --n 60 --repetitions 1 "
                                "--epochs 1 --no-intermediates --out {d}/repeated_out",
                                "F6 twice"),
@@ -548,6 +555,20 @@ MALFORMED_INPUTS.update({
     f"{command}_manifest_{bad}": (argv.replace("{m}", f"{bad}.json"), f"{bad}.json")
     for command, argv in MANIFEST_READERS.items() for bad in BAD_MANIFESTS})
 
+# Meta entries that spoil a saved coupled network, each refused by load_network.
+BAD_NET_META = {
+    "y_mean_text": {"y_mean": "abc"},
+    "y_mean_true": {"y_mean": True},
+    "y_std_list": {"y_std": [1]},
+    "y_std_zero": {"y_std": 0},
+    "y_std_nan": {"y_std": float("nan")},
+    "coupling_one": {"coupling": 1},
+}
+MALFORMED_INPUTS.update({
+    f"score_net_{bad}": (f"score --net {{d}}/net_{bad}.npz --augmented {{d}}/aug.csv "
+                         f"--out {{d}}/x.csv", f"net_{bad}.npz: meta entry {next(iter(spoil))}")
+    for bad, spoil in BAD_NET_META.items()})
+
 
 @pytest.fixture(scope="module")
 def malformed_dir(tmp_path_factory):
@@ -580,7 +601,10 @@ def malformed_dir(tmp_path_factory):
     for name, arrays, entries in (("w1_5x32", {"w1": np.zeros((5, 32))}, {}),
                                   ("z_3", {"z": np.zeros(3)}, {}),
                                   ("net_poisson", {}, {"task": "poisson"}),
-                                  ("net_hidden_5", {}, {"hidden_sizes": 5})):
+                                  ("net_hidden_5", {}, {"hidden_sizes": 5}),
+                                  ("net_coupling_false", {}, {"coupling": False}),
+                                  *((f"net_{bad}", {}, spoil)
+                                    for bad, spoil in BAD_NET_META.items())):
         save_npz(d / f"{name}.npz", 1, {**net, **arrays}, **{**meta, **entries})
     np.savez(d / "nometa.npz", w0=np.zeros(2))
     (d / "list.json").write_text("[1]")
@@ -591,6 +615,7 @@ def malformed_dir(tmp_path_factory):
         '{"selected": [[0, 1], [1, 2]], "calibration": "on"}')
     (d / "no_calibration.json").write_text('{"selected": [[0, 1]]}')
     (d / "calibration_both.json").write_text('{"selected": [[0, 1]], "calibration": "both"}')
+    (d / "calibration_list.json").write_text('{"selected": [[0, 1]], "calibration": ["on"]}')
     (d / "wide_scores.csv").write_text("i,j,class,raw,calibrated\n1,2,OO,0.5,0.5\n"
                                        "1,4,OD,0.1,0.1\n")  # p = 2
     (d / "knockoff_pair.json").write_text(  # (0, 3) is OD

@@ -62,10 +62,15 @@ def test_only_network_reads_filter_weights(path):
     assert filter_weight_reads(path.read_text()) == []
 
 
-def score_matrix_reads(source: str) -> list:
-    """Lines that read attribute ``calibrated`` or ``s2d``."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr in ("calibrated", "s2d"))
+def score_matrix_reads(source: str, table: str | None = None) -> list:
+    """Lines that read attribute ``calibrated`` or ``s2d``, outside the entries
+    of the dict assigned to the name ``table``."""
+    tree = ast.parse(source)
+    inside = {id(node) for assign in ast.walk(tree) if table and isinstance(assign, ast.Assign)
+              and [getattr(t, "id", None) for t in assign.targets] == [table]
+              for entry in assign.value.values for node in ast.walk(entry)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside
+                  and isinstance(node, ast.Attribute) and node.attr in ("calibrated", "s2d"))
 
 
 def test_score_matrix_reads_detected():
@@ -76,9 +81,25 @@ def test_score_matrix_reads_detected():
                                   if p.name not in ("importance.py", "harness.py")],
                          ids=lambda p: p.name)
 def test_only_importance_and_harness_read_score_matrices(path):
-    # harness.arm_scores alone chooses the matrix an arm ranks (calibrated or
+    # harness.CALIBRATIONS alone chooses the matrix an arm ranks (calibrated or
     # raw |2D|), so run and evaluate cannot rank different scores.
     assert score_matrix_reads(path.read_text()) == []
+
+
+def test_score_matrix_reads_outside_calibrations_detected():
+    source = ('CALIBRATIONS = {"on": lambda s: s.calibrated,\n'
+              '                "off": lambda s: abs(s.s2d)}\n'
+              'def arm_scores(s, c):\n'
+              '    return s.calibrated if c == "on" else abs(s.s2d)\n'
+              'OTHER = {"on": lambda s: s.s2d}\nx = CALIBRATIONS["on"](s).s1d\n')
+    assert score_matrix_reads(source, "CALIBRATIONS") == [4, 4, 5]
+
+
+def test_only_calibrations_reads_score_matrices_in_harness():
+    # In harness.py each calibration's matrix is read in its CALIBRATIONS entry
+    # alone; select_arm and score_selection look the entry up.
+    harness = Path(knockint.__file__).parent / "harness.py"
+    assert score_matrix_reads(harness.read_text(), "CALIBRATIONS") == []
 
 
 PARAM_TABLE = ("named_params", "_param_fields")  # the table and its inverse
