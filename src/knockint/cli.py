@@ -43,8 +43,11 @@ def _out(path) -> Path:
     return out
 
 
-def _picked(args, *names) -> dict:
-    return {name: getattr(args, name) for name in names}
+def _config(cls, args, **values):
+    """``cls`` built from every field of ``cls`` that the parser of ``args``
+    declared an option for, with ``values`` in place of the parsed ones."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if hasattr(args, f.name)} | values)
 
 
 def _manifest_for(data_path: Path) -> Path:
@@ -73,7 +76,7 @@ def hidden_sizes(text: str) -> tuple:
 
 
 def cmd_simulate(args):
-    spec = SimulationSpec(function_id=args.function, **_picked(args, "n", "p", "seed"))
+    spec = _config(SimulationSpec, args, function_id=args.function)
     dataset = generate(spec)
     out = _out(args.out)
     manifest = _out(args.manifest) if args.manifest else _manifest_for(out)
@@ -96,7 +99,7 @@ def cmd_knockoff(args):
 
 
 def cmd_train(args):
-    cfg = TrainConfig(**_picked(args, *TRAIN_FIELDS, "validation_fraction"))
+    cfg = _config(TrainConfig, args)
     dataset = _read_data(args)
     X_aug = _read_augmented(args.augmented, *dataset.X.shape, args.data)
     net, trace = harness.fit_network(dataset, X_aug, args.coupling, args.hidden, cfg, args.seed)
@@ -108,7 +111,7 @@ def cmd_train(args):
 
 
 def cmd_score(args):
-    cfg = AttributionConfig(**_picked(args, "alpha_steps", "beta_steps", "sample_cap"))
+    cfg = _config(AttributionConfig, args)
     net = load_network(args.net)
     X_aug = _read_augmented(args.augmented, None, net.p, args.net)
     if args.manifest:
@@ -134,19 +137,18 @@ def cmd_select(args):
 
 def cmd_evaluate(args):
     selection = read_json(args.selection)
-    if not index_pairs(selection["selected"]):
-        raise ValidationError(f"{args.selection}: 'selected' must be a list of index pairs")
-    if selection["calibration"] not in harness.AXES["calibration"]:
-        raise ValidationError(f"{args.selection}: 'calibration' must be "
-                              + " or ".join(map(repr, harness.AXES["calibration"])))
+    selected, calibration = selection["selected"], selection["calibration"]
+    selection.check((("selected", selected, index_pairs(selected), "a list of index pairs"),
+                     ("calibration", calibration, calibration in harness.AXES["calibration"],
+                      " or ".join(map(repr, harness.AXES["calibration"])))))
     *_, truth = read_manifest(args.manifest)
     if truth is None:
         raise KnockintError(f"{args.manifest}: manifest carries no ground-truth pairs")
     scores = read_scores_csv(args.scores)
     p = len(scores.s1d) // 2
-    if not all(0 <= i < j < p for i, j in selection["selected"]):
-        raise ValidationError(f"{args.selection}: every selected pair must have "
-                              f"0 <= i < j < {p}, half the scores' width")
+    outside = next((pair for pair in selected if not 0 <= pair[0] < pair[1] < p), None)
+    selection.check((("selected", outside, outside is None,
+                      f"[i, j] pairs with 0 <= i < j < {p}, half the scores' width"),))
     report = harness.score_selection(scores, selection, truth)
     out = _out(args.out)
     write_json(out, report.to_dict())
@@ -158,13 +160,9 @@ def cmd_run(args):
     if args.config:
         cfg = harness.ExperimentConfig.from_dict(read_json(args.config))
     else:
-        cfg = harness.ExperimentConfig(
-            functions=args.functions.split(","),
-            **_picked(args, "dataset", "response_column", "task", "n", "p", "q",
-                      "repetitions", "method", "calibration", "coupling", "seed", "s_scale"),
-            train=TrainConfig(**_picked(args, *TRAIN_FIELDS)),
-            save_intermediates=not args.no_intermediates,
-        )
+        cfg = _config(harness.ExperimentConfig, args, functions=args.functions.split(","),
+                      train=_config(TrainConfig, args),
+                      save_intermediates=not args.no_intermediates)
     cfg = dataclasses.replace(cfg, output_dir=str(_out(args.out or cfg.output_dir)))
     report = harness.run_experiment(cfg)
     n_err = len(report["errors"])

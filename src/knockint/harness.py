@@ -307,19 +307,22 @@ def _run_cells(cells) -> list:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute every (function, repetition) cell and write the report files.
 
-    ``cfg.dataset`` is read, validated, checked against ``cfg.attribution``
-    and, with intermediates, written to ``cfg.output_dir`` once, and the
-    training rows every cell will have are checked against ``cfg.train``,
-    before any cell runs. A
-    repetition that fails with a ``KnockintError`` or a numeric failure is
-    logged into the report and the run continues; any other exception
-    propagates, and no worker process outlives the call.
+    ``cfg.dataset`` is read, validated, checked to leave the 2 training rows
+    the knockoff fit needs and against ``cfg.attribution``, and, with
+    intermediates, written to ``cfg.output_dir`` once, and the training rows
+    every cell will have are checked against ``cfg.train``, before any cell
+    runs. A repetition that fails with a ``KnockintError`` or a numeric
+    failure is logged into the report and the run continues; any other
+    exception propagates, and no worker process outlives the call.
     """
     dataset = None
     n_train = training_rows(cfg.n)  # as generate splits a simulation
     if cfg.dataset is not None:  # and a read dataset is split alike
         dataset = read_dataset_csv(cfg.dataset, None, cfg.response_column, cfg.task)
         n_train = dataset.n_train = training_rows(len(dataset.y))
+        if n_train < 2:
+            raise ValidationError(f"{cfg.dataset}: {n_train} training row; the knockoff fit "
+                                  "needs 2")
         cfg.attribution.check_baselines(2 * dataset.X.shape[1])
     check_training_rows(cfg.train, n_train)  # every cell trains on n_train rows
     outdir = Path(cfg.output_dir)

@@ -510,14 +510,9 @@ def save_network(net: CoupledNetwork, path):
              y_mean=net.y_mean, y_std=net.y_std)
 
 
-def _meta_number(meta, name, low=-inf) -> float:
-    """``meta[name]``, checked to be a JSON number above ``low`` that a finite
-    float holds."""
-    value = meta[name]
-    if not (type(value) in (int, float) and abs(value) <= float_info.max and value > low):
-        raise ValidationError(f"{meta.path}: meta entry {name} must be a finite number"
-                              f"{'' if low == -inf else f' > {low}'}, got {value!r}")
-    return float(value)
+def _finite_number(value) -> bool:
+    """Whether a JSON value is a number (not a bool) that a finite float holds."""
+    return type(value) in (int, float) and abs(value) <= float_info.max
 
 
 def load_network(path) -> CoupledNetwork:
@@ -527,11 +522,10 @@ def load_network(path) -> CoupledNetwork:
     sizes are not a network's, or its arrays are not the ones ``init_network``
     gives, by name, shape and dtype."""
     meta, data = load_npz(path, SERIALIZATION_VERSION)
-    coupling = meta["coupling"]
-    if type(coupling) is not bool:
-        raise ValidationError(f"{path}: meta entry coupling must be true or false, "
-                              f"got {coupling!r}")
-    y_mean, y_std = _meta_number(meta, "y_mean"), _meta_number(meta, "y_std", low=0)
+    coupling, y_mean, y_std = meta["coupling"], meta["y_mean"], meta["y_std"]
+    meta.check((("coupling", coupling, type(coupling) is bool, "true or false"),
+                ("y_mean", y_mean, _finite_number(y_mean), "a finite number"),
+                ("y_std", y_std, _finite_number(y_std) and y_std > 0, "a finite number > 0")))
     fields = _param_fields(data, coupling)
     w0 = fields["w"][0]
     try:
@@ -548,4 +542,4 @@ def load_network(path) -> CoupledNetwork:
         if (data[name].shape, data[name].dtype) != (a.shape, a.dtype):
             raise ValidationError(f"{path}: array {name} is {data[name].dtype} of shape "
                                   f"{data[name].shape}, expected {a.dtype} of shape {a.shape}")
-    return replace(template, **fields, y_mean=y_mean, y_std=y_std)
+    return replace(template, **fields, y_mean=float(y_mean), y_std=float(y_std))

@@ -139,7 +139,7 @@ class SimulationSpec:
             raise ConfigurationError(f"unknown function id {self.function_id!r}")
         check_fields(self, (
             ("p", 10 <= self.p < inf, "in [10, inf) (functions read x1..x10)"),
-            ("n", 2 <= self.n < inf, "in [2, inf)"),
+            ("n", 3 <= self.n < inf, "in [3, inf) (the knockoff fit needs 2 training rows)"),
             ("seed", 0 <= self.seed < inf, "in [0, inf)")))
 
 
@@ -262,16 +262,13 @@ def read_manifest(path, rows: int | None = None, cols: int | None = None) -> tup
     task = m.get("task", "regression")
     n_train = m.get("n_train", rows)
     pairs = m.get("ground_truth_pairs")
-    for key, value, ok, want in (
-            ("task", task, task in TASKS, f"one of {TASKS}"),
-            ("n_train", n_train, type(n_train) is type(rows) is int and 1 <= n_train <= rows,
-             f"an int in 1..{rows}"),
-            ("ground_truth_pairs", pairs, pairs is None or (
-                index_pairs(pairs) and type(cols) is int
-                and all(1 <= i < j <= cols for i, j in pairs)),
-             f"[i, j] pairs with 1 <= i < j <= {cols}")):
-        if not ok:
-            raise ValidationError(f"{path}: {key!r} must be {want}, got {value!r}")
+    m.check((("task", task, task in TASKS, f"one of {TASKS}"),
+             ("n_train", n_train, type(n_train) is type(rows) is int and 1 <= n_train <= rows,
+              f"an int in 1..{rows}"),
+             ("ground_truth_pairs", pairs, pairs is None or (
+                 index_pairs(pairs) and type(cols) is int
+                 and all(1 <= i < j <= cols for i, j in pairs)),
+              f"[i, j] pairs with 1 <= i < j <= {cols}")))
     return task, n_train, {tuple(pr) for pr in pairs} if pairs else None
 
 

@@ -121,6 +121,12 @@ class Entries(dict):
     def __missing__(self, key):
         raise ValidationError(f"{self.path}: no {key!r} entry")
 
+    def check(self, rules):
+        """Raise a ``ValidationError`` on the first ``(key, value, ok, want)`` rule not ``ok``."""
+        for key, value, ok, want in rules:
+            if not ok:
+                raise ValidationError(f"{self.path}: {key!r} must be {want}, got {value!r}")
+
 
 def write_json(path, obj, compact=False):
     """Write ``obj`` with sorted keys, indented by 2 and ending in a newline;

@@ -1,11 +1,12 @@
 """Tests for experiment orchestration, CSV ingestion, and the CLI."""
 
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,8 @@ def test_config_validation():
         ExperimentConfig(functions=["F6", "F11"])
     with pytest.raises(ConfigurationError, match=re.escape("p must be in [10, inf)")):
         ExperimentConfig(p=9)
-    with pytest.raises(ConfigurationError, match=re.escape("n must be in [2, inf)")):
-        ExperimentConfig(n=1)
+    with pytest.raises(ConfigurationError, match=re.escape("n must be in [3, inf)")):
+        ExperimentConfig(n=2)  # 2 rows leave 1 training row; the knockoff fit needs 2
     with pytest.raises(ConfigurationError, match="q must be"):
         replace(ExperimentConfig(), q=1.0)  # replace makes a new config, checked alike
     with pytest.raises(FrozenInstanceError):
@@ -416,7 +417,8 @@ def test_cli_select_header_only_scores_exit_code(tmp_path):
 
 
 # Malformed input files: (argv, the file the error must name). "{d}" is a
-# directory holding a simulated dataset, its knockoff files and its scores.
+# directory holding a simulated dataset, its knockoff files and its scores. A
+# refused file entry reads "<file>: '<key>' must be <want>, got <value>".
 MALFORMED_INPUTS = {
     "score_net_text_file": ("score --net {d}/text.txt --augmented {d}/aug.csv --out {d}/x.csv",
                             "text.txt"),
@@ -453,19 +455,19 @@ MALFORMED_INPUTS = {
                                  "empty.json"),
     "evaluate_selection_not_pairs": ("evaluate --selection {d}/triple.json "
                                      "--scores {d}/scores.csv --manifest {d}/data.manifest.json "
-                                     "--out {d}/x.json", "triple.json"),
+                                     "--out {d}/x.json", "triple.json: 'selected' must be"),
     "evaluate_selection_reversed_pair": ("evaluate --selection {d}/reversed.json "
                                          "--scores {d}/scores.csv "
                                          "--manifest {d}/data.manifest.json --out {d}/x.json",
-                                         "reversed.json"),
+                                         "reversed.json: 'selected' must be"),
     "evaluate_selection_pair_beyond_2p": ("evaluate --selection {d}/beyond.json "
                                           "--scores {d}/scores.csv "
                                           "--manifest {d}/data.manifest.json --out {d}/x.json",
-                                          "beyond.json"),
+                                          "beyond.json: 'selected' must be"),
     "evaluate_selection_knockoff_pair": ("evaluate --selection {d}/knockoff_pair.json "
                                          "--scores {d}/wide_scores.csv "
                                          "--manifest {d}/data.manifest.json --out {d}/x.json",
-                                         "knockoff_pair.json"),
+                                         "knockoff_pair.json: 'selected' must be"),
     "evaluate_selection_without_calibration": ("evaluate --selection {d}/no_calibration.json "
                                                "--scores {d}/scores.csv "
                                                "--manifest {d}/data.manifest.json "
@@ -473,11 +475,13 @@ MALFORMED_INPUTS = {
     "evaluate_selection_calibration_both": ("evaluate --selection {d}/calibration_both.json "
                                             "--scores {d}/scores.csv "
                                             "--manifest {d}/data.manifest.json "
-                                            "--out {d}/x.json", "calibration_both.json"),
+                                            "--out {d}/x.json",
+                                            "calibration_both.json: 'calibration' must be"),
     "evaluate_selection_calibration_list": ("evaluate --selection {d}/calibration_list.json "
                                             "--scores {d}/scores.csv "
                                             "--manifest {d}/data.manifest.json "
-                                            "--out {d}/x.json", "calibration_list.json"),
+                                            "--out {d}/x.json",
+                                            "calibration_list.json: 'calibration' must be"),
     "run_functions_repeated": ("run --functions F6,F6 --p 10 --n 60 --repetitions 1 "
                                "--epochs 1 --no-intermediates --out {d}/repeated_out",
                                "F6 twice"),
@@ -529,6 +533,20 @@ MALFORMED_INPUTS = {
                           "--grad-clip nan --no-intermediates --out {d}/nan_out", "grad_clip"),
 }
 
+# Inputs that leave the knockoff fit fewer than its 2 training rows, refused
+# before anything is written: (argv, the message, the output that must not exist).
+TWO_ROWS = {
+    "run_simulation_two_rows": ("run --functions F6 --n 2 --p 10 --repetitions 2 --epochs 1 "
+                                "--batch-size 1 --out {d}/two_rows_out",
+                                "n must be in [3, inf)", "two_rows_out"),
+    "simulate_two_rows": ("simulate --function F6 --n 2 --p 10 --out {d}/two_rows.csv",
+                          "n must be in [3, inf)", "two_rows.csv"),
+    "run_dataset_two_rows": ("run --dataset {d}/two_rows_data.csv --repetitions 2 --epochs 1 "
+                             "--batch-size 1 --out {d}/two_rows_data_out",
+                             "two_rows_data.csv: 1 training row", "two_rows_data_out"),
+}
+MALFORMED_INPUTS.update({case: (argv, named) for case, (argv, named, _) in TWO_ROWS.items()})
+
 # Entries that spoil the 60-row dataset's manifest, each read by every stage
 # that takes a manifest.
 BAD_MANIFESTS = {
@@ -552,8 +570,9 @@ MANIFEST_READERS = {
 MALFORMED_INPUTS["knockoff_manifest_missing"] = (
     MANIFEST_READERS["knockoff"].replace("{m}", "missing.json"), "missing.json")
 MALFORMED_INPUTS.update({
-    f"{command}_manifest_{bad}": (argv.replace("{m}", f"{bad}.json"), f"{bad}.json")
-    for command, argv in MANIFEST_READERS.items() for bad in BAD_MANIFESTS})
+    f"{command}_manifest_{bad}": (argv.replace("{m}", f"{bad}.json"),
+                                  f"{bad}.json: '{next(iter(entries))}' must be")
+    for command, argv in MANIFEST_READERS.items() for bad, entries in BAD_MANIFESTS.items()})
 
 # Meta entries that spoil a saved coupled network, each refused by load_network.
 BAD_NET_META = {
@@ -566,7 +585,7 @@ BAD_NET_META = {
 }
 MALFORMED_INPUTS.update({
     f"score_net_{bad}": (f"score --net {{d}}/net_{bad}.npz --augmented {{d}}/aug.csv "
-                         f"--out {{d}}/x.csv", f"net_{bad}.npz: meta entry {next(iter(spoil))}")
+                         f"--out {{d}}/x.csv", f"net_{bad}.npz: '{next(iter(spoil))}' must be")
     for bad, spoil in BAD_NET_META.items()})
 
 
@@ -623,6 +642,8 @@ def malformed_dir(tmp_path_factory):
     (d / "train_foo.json").write_text('{"train": {"foo": 1}}')
     (d / "n_abc.json").write_text('{"n": "abc"}')
     huge = np.random.default_rng(0).uniform(size=(40, 10)) * 1e200  # finite; cov overflows
+    (d / "two_rows_data.csv").write_text("x1,x2,x3,x4,x5,x6,x7,x8,x9,y\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in X[:2, :10].tolist()))
     (d / "huge.csv").write_text("x1,x2,x3,x4,x5,x6,x7,x8,x9,y\n" + "".join(
         ",".join(map(repr, row)) + "\n" for row in huge.tolist()))
     (d / "task_poisson_cfg.json").write_text(json.dumps(
@@ -645,6 +666,10 @@ def test_cli_malformed_input_exit_code(case, malformed_dir, capsys):
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err, err
+    if "' must be" in named:  # a refused entry shows the value it got
+        assert ", got " in err, err
+    if case in TWO_ROWS:
+        assert not (malformed_dir / TWO_ROWS[case][2]).exists()
 
 
 @pytest.mark.parametrize("hidden", [["a", 2, 3], [8.7, 4, 2], [64, 0, 16], [64, np.nan, 16],
@@ -1094,3 +1119,71 @@ def test_cli_options_and_defaults_come_from_configs(command):
         assert args.seed == 0
     if command == "run":
         assert args.functions == ",".join(ExperimentConfig().functions)
+
+
+# Per command, the module and name of the stage call it hands its configs to,
+# and its required arguments; "{d}" is the directory of ``malformed_dir``.
+STAGE_CALLS = {
+    "simulate": (cli, "generate", "simulate --function F6 --out {d}/x.csv"),
+    "train": (cli.harness, "fit_network",
+              "train --data {d}/data.csv --augmented {d}/aug.csv --net-out {d}/x.npz"),
+    "score": (cli, "compute_scores", "score --net {d}/net.npz --augmented {d}/aug.csv "
+                                     "--out {d}/x.csv"),
+    "run": (cli.harness, "run_experiment", "run --out {d}/x_out"),
+}
+
+
+class _StageCalled(Exception):
+    """Raised in place of a stage call; ``args[0]`` maps its parameters to their values."""
+
+
+def _non_default(action):
+    """A value for the option ``action`` other than its default, valid for its config."""
+    if action.choices:
+        return next(choice for choice in action.choices if choice != action.default)
+    if action.dest == "functions":
+        return "F2,F3"
+    return action.default + 1 if type(action.default) is int else action.default / 2 or 0.25
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_CALLS))
+def test_cli_every_declared_option_reaches_its_config(command, malformed_dir, monkeypatch):
+    declared = []  # (config class, option) of every option that _fields declares
+    declare = cli._fields
+
+    def record(parser, cls, *names, **extra):
+        declare(parser, cls, *names, **extra)
+        if parser.prog == f"knockint {command}":
+            declared.extend((cls, next(a for a in parser._actions if a.dest == name))
+                            for name in names)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_fields", record)
+        cli.build_parser()
+    owner, stage, argv = STAGE_CALLS[command]
+    signature = inspect.signature(getattr(owner, stage))
+
+    def called(*args, **kwargs):
+        raise _StageCalled(signature.bind(*args, **kwargs).arguments)
+
+    monkeypatch.setattr(owner, stage, called)
+    runs = [([], declared)]
+    if command == "run":  # --task binary needs --dataset, which takes no simulation option
+        runs = [([], [(c, a) for c, a in declared if a.dest in SIMULATION_FIELDS]),
+                (["--dataset", "x.csv"], [(c, a) for c, a in declared
+                                          if a.dest not in SIMULATION_FIELDS])]
+    for extra, options in runs:
+        values = {action.dest: _non_default(action) for _, action in options}
+        given = [text for _, action in options
+                 for text in (action.option_strings[0], str(values[action.dest]))]
+        with pytest.raises(_StageCalled) as stage_call:
+            cli.main(argv.format(d=malformed_dir).split() + extra + given)
+        arguments = stage_call.value.args[0]
+        held = [*arguments.values(), *(getattr(v, f.name) for v in arguments.values()
+                                       if is_dataclass(v) for f in fields(v))]
+        for cls, action in options:
+            configs = [v for v in held if isinstance(v, cls)]
+            got = getattr(configs[0], action.dest) if configs else arguments[action.dest]
+            assert (",".join(got) if isinstance(got, list) else got) == values[action.dest], (
+                action.dest)
+        assert len(values) == len(options) > 0
