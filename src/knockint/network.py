@@ -30,16 +30,21 @@ order (``w3, b3, w2, b2, w1, b1, w0, b0``, then ``z, z_tilde``), which the
 saved file, the training buffer and the clipping norm all follow;
 ``_param_fields`` is its inverse. ``train`` keeps every parameter in one
 float64 buffer and rebinds the network's arrays as views of it; gradients and
-the Adam moments live in matching buffers, so clipping and each Adam step are
-a handful of whole-buffer operations. Each of them rounds exactly as a
-per-parameter Adam loop would, and ``train`` is bit-identical to the reference
-loop kept in ``tests/test_network.py``.
+the Adam moments live in matching buffers. A step's L1 penalty gradient (one
+weight vector over the buffer, ``_L1Penalty.weights``, the one place a
+penalized parameter gets its weight), the clipping scale and the Adam update
+are each a handful of whole-buffer operations. Two kinds of sum stay per
+parameter, one reduce over each parameter's view: the penalty's ``sum |theta|``
+terms of the loss and the ``sum g^2`` terms of the clipping norm. A sum over
+the whole buffer or a segmented one (``np.add.reduceat``) rounds differently.
+So every step rounds exactly as a per-parameter loop would, and ``train`` is
+bit-identical to the reference loop kept in ``tests/test_network.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import inf
+from math import inf, isfinite, sqrt
 from sys import float_info
 
 import numpy as np
@@ -230,11 +235,14 @@ def _forward_pass(net: CoupledNetwork, X: np.ndarray):
     """
     inputs, pre, elu_prime = [_filter_layer(net, X)], [], []
     for l in range(3):
-        a = inputs[l] @ net.w[l] + net.b[l]
+        a = inputs[l] @ net.w[l]
+        a += net.b[l]
         neg = np.minimum(a, 0.0)
+        h = np.expm1(neg)
+        np.maximum(a, h, out=h)  # expm1(a) >= a for a <= 0
         pre.append(a)
-        inputs.append(np.maximum(a, np.expm1(neg)))  # expm1(a) >= a for a <= 0
-        elu_prime.append(np.exp(neg))  # exp(0) is exactly 1, so no mask is needed
+        inputs.append(h)
+        elu_prime.append(np.exp(neg, out=neg))  # exp(0) is exactly 1, so no mask is needed
     out = (inputs[3] @ net.w[3] + net.b[3])[..., 0]
     return inputs, pre, elu_prime, out
 
@@ -357,21 +365,71 @@ def _on_buffer(net: CoupledNetwork, buf: np.ndarray) -> CoupledNetwork:
 
 
 def _data_loss(task: str, out: np.ndarray, y: np.ndarray):
-    """Mean batch loss and its gradient with respect to ``out``."""
+    """Mean batch loss and its gradient with respect to ``out``. A mean is
+    ``np.add.reduce(...) / n``, ``np.mean``'s own arithmetic."""
     n = out.shape[0]
     if task == "binary":
         prob = _sigmoid(out)
         eps = 1e-12
-        loss = -np.mean(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps))
+        loss = -(np.add.reduce(y * np.log(prob + eps) + (1 - y) * np.log(1 - prob + eps)) / n)
         return loss, (prob - y) / n
     resid = out - y
-    return np.mean(resid ** 2), 2.0 * resid / n
+    return np.add.reduce(resid ** 2) / n, 2.0 * resid / n
+
+
+class _L1Penalty:
+    """The L1 penalty of one training run, over its flat buffers ``theta``
+    (the parameters), ``grad`` and ``scratch``, each laid out as
+    ``named_params`` lays out ``net``.
+
+    ``weights`` is each buffer entry's L1 weight: ``l1_mlp`` on every ``w``,
+    ``l1_filter`` on ``z`` and ``z_tilde`` and 0 on the biases. A penalized
+    parameter gets its weight here and nowhere else.
+    """
+
+    def __init__(self, net: CoupledNetwork, theta: np.ndarray, grad: np.ndarray,
+                 scratch: np.ndarray, l1_filter: float, l1_mlp: float):
+        self.weights = np.zeros_like(theta)
+        weight_net = _on_buffer(net, self.weights)
+        for w in weight_net.w:
+            w.fill(l1_mlp)
+        if net.coupling:
+            weight_net.z.fill(l1_filter)
+            weight_net.z_tilde.fill(l1_filter)
+        self.theta, self.grad, self.scratch = theta, grad, scratch
+        self.l1_filter = l1_filter if net.coupling else 0.0
+        self.l1_mlp = l1_mlp
+        self.scratch_net = _on_buffer(net, scratch)
+
+    def add_to(self, loss):
+        """``loss`` plus the penalty, after adding its gradient
+        ``weights * sign(theta)`` to ``grad``; uses ``scratch``.
+
+        The loss adds ``l1_filter (sum |z| + sum |z_tilde|)``, then
+        ``l1_mlp sum |w_l|`` for l = 0..3, each sum one reduce over that
+        parameter alone, so the loss rounds as a per-parameter loop would.
+        """
+        if not (self.l1_filter > 0 or self.l1_mlp > 0):
+            return loss
+        tmp = self.scratch
+        np.sign(self.theta, out=tmp)
+        tmp *= self.weights
+        self.grad += tmp
+        np.abs(self.theta, out=tmp)
+        absolute = self.scratch_net
+        if self.l1_filter > 0:
+            loss += self.l1_filter * (np.add.reduce(absolute.z) + np.add.reduce(absolute.z_tilde))
+        if self.l1_mlp > 0:
+            for w in absolute.w:
+                loss += self.l1_mlp * np.add.reduce(w, axis=None)
+        return loss
 
 
 def _loss_and_param_grads(net: CoupledNetwork, g_net: CoupledNetwork, X: np.ndarray,
-                          y: np.ndarray, l1_filter: float, l1_mlp: float):
+                          y: np.ndarray, l1: _L1Penalty):
     """Mean penalized loss of ``net`` over the batch; writes every gradient
-    into the parameter of the same name in ``g_net``."""
+    into the parameter of the same name in ``g_net``. ``net`` and ``g_net``
+    are views of ``l1.theta`` and ``l1.grad``."""
     inputs, _, elu_prime, out = _forward_pass(net, X)
     loss, dout = _data_loss(net.task, out, y)
 
@@ -387,15 +445,7 @@ def _loss_and_param_grads(net: CoupledNetwork, g_net: CoupledNetwork, X: np.ndar
         g = g @ net.w[0].T  # only the filter weights read the input gradient
         np.add.reduce(X[:, :p] * g, axis=0, out=g_net.z)
         np.add.reduce(X[:, p:] * g, axis=0, out=g_net.z_tilde)
-        if l1_filter > 0:
-            loss += l1_filter * (np.abs(net.z).sum() + np.abs(net.z_tilde).sum())
-            g_net.z += l1_filter * np.sign(net.z)
-            g_net.z_tilde += l1_filter * np.sign(net.z_tilde)
-    if l1_mlp > 0:
-        for l in range(4):
-            loss += l1_mlp * np.abs(net.w[l]).sum()
-            g_net.w[l] += l1_mlp * np.sign(net.w[l])
-    return loss
+    return l1.add_to(loss)
 
 
 def check_training_rows(cfg: TrainConfig, n: int) -> int:
@@ -417,6 +467,10 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     training loss (and validation loss when a validation split is held out).
     The trained network's parameters are views of one flat buffer.
     Raises :class:`TrainingDivergedError` if the loss ever goes non-finite.
+
+    A step's L1 penalty gradient, clipping scale and Adam update run over the
+    whole buffer; the penalty's loss terms and the clipping norm add one sum
+    per parameter, which keeps the bits of a per-parameter loop.
     """
     cfg = cfg or TrainConfig()
     if not 0 <= seed < inf:
@@ -451,10 +505,11 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
     g_net = _on_buffer(net, grad)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
     tmp, tmp2 = np.empty_like(theta), np.empty_like(theta)
+    l1 = _L1Penalty(net, theta, grad, tmp, cfg.l1_filter_penalty, cfg.l1_mlp_penalty)
     # norm_terms view tmp, which holds grad * grad when clipping. The norm adds
     # one sum per parameter in named_params' order: one sum over the buffer, or
     # another order, would move the last bits of every trained network.
-    norm_terms = list(_on_buffer(net, tmp).named_params().values())
+    norm_terms = list(l1.scratch_net.named_params().values())
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
     step = 0
@@ -467,15 +522,14 @@ def train(net: CoupledNetwork, X_aug: np.ndarray, y: np.ndarray,
         epoch_losses = []
         for start in range(0, n_tr, cfg.batch_size):
             stop = start + cfg.batch_size
-            loss = _loss_and_param_grads(net, g_net, X_ep[start:stop], y_ep[start:stop],
-                                         cfg.l1_filter_penalty, cfg.l1_mlp_penalty)
-            if not np.isfinite(loss):
+            loss = _loss_and_param_grads(net, g_net, X_ep[start:stop], y_ep[start:stop], l1)
+            if not isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_losses.append(loss)
             step += 1
             if cfg.grad_clip is not None:
                 np.multiply(grad, grad, out=tmp)
-                norm = np.sqrt(sum(float(np.add.reduce(t, axis=None)) for t in norm_terms))
+                norm = sqrt(sum(float(np.add.reduce(t, axis=None)) for t in norm_terms))
                 if norm > cfg.grad_clip:
                     grad *= cfg.grad_clip / norm
             # Adam in place, rounding as m = b1 m + (1 - b1) g,

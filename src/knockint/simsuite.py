@@ -263,8 +263,8 @@ def read_manifest(path, rows: int | None = None, cols: int | None = None) -> tup
     n_train = m.get("n_train", rows)
     pairs = m.get("ground_truth_pairs")
     m.check((("task", task, task in TASKS, f"one of {TASKS}"),
-             ("n_train", n_train, type(n_train) is type(rows) is int and 1 <= n_train <= rows,
-              f"an int in 1..{rows}"),
+             ("n_train", n_train, type(n_train) is type(rows) is int and 2 <= n_train <= rows,
+              f"an int in 2..{rows} (the knockoff fit needs 2 training rows)"),
              ("ground_truth_pairs", pairs, pairs is None or (
                  index_pairs(pairs) and type(cols) is int
                  and all(1 <= i < j <= cols for i, j in pairs)),

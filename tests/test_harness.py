@@ -556,6 +556,7 @@ BAD_MANIFESTS = {
     "pairs_zero_based": {"ground_truth_pairs": [[0, 1]]},
     "pairs_beyond_p": {"ground_truth_pairs": [[9, 11]]},
     "n_train_text": {"n_train": "x"},
+    "n_train_one": {"n_train": 1},
     "n_train_over_rows": {"n_train": 1000},
     "task_poisson": {"task": "poisson"},
 }

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from knockint.exceptions import (ConfigurationError, ContractViolation,
                                  TrainingDivergedError, ValidationError)
 from knockint.network import (HESSIAN_BLOCK, CoupledNetwork, TrainConfig,
-                              _forward_pass, _loss_and_param_grads, _on_buffer, _sigmoid,
-                              batch_input_gradient,
-                              batch_input_hessian, init_network, load_network,
-                              mean_input_hessian, predict, pull_back, raw_output,
-                              save_network, train)
+                              _forward_pass, _L1Penalty, _loss_and_param_grads, _on_buffer,
+                              _sigmoid, batch_input_gradient, batch_input_hessian,
+                              init_network, load_network, mean_input_hessian, predict,
+                              pull_back, raw_output, save_network, train)
 from knockint.table import save_npz
 
 from conftest import peak_mib, random_network
@@ -712,6 +711,45 @@ def test_train_bit_identical_to_reference(coupling, task, grad_clip, penalized):
     assert trace == ref_trace
 
 
+def test_train_bit_identical_to_reference_at_protocol_sizes():
+    # w0 (1,920 entries) and w1 (2,048) are longer than numpy's 128-entry
+    # pairwise-summation block, so a sum over them taken in another order can
+    # move the last bits here and not at (7, 5, 3). Every step clips, so each
+    # step's clipping norm reaches the parameters.
+    rng = np.random.default_rng(22)
+    X = rng.uniform(size=(300, 60))    # batch 64 leaves a batch of 44
+    y = X[:, 0] * X[:, 1] + np.sin(3.0 * X[:, 2])
+    net = init_network(30, hidden_sizes=(64, 32, 16), seed=6)
+    cfg = TrainConfig(epochs=2, batch_size=64, l1_filter_penalty=1e-4, l1_mlp_penalty=5e-4,
+                      grad_clip=0.1)
+    ref, ref_trace, clipped = _reference_train(net, X, y, cfg, seed=7)
+    got, trace = train(net, X, y, cfg, seed=7)
+    assert clipped == 10
+    for a, b in zip(ref.named_params().values(), got.named_params().values(), strict=True):
+        assert np.array_equal(a, b)
+    assert trace == ref_trace
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_penalized_loss_bit_identical_to_reference_at_protocol_sizes(seed):
+    # With the response equal to the output the data loss is exactly 0, so the
+    # loss is the L1 penalty alone and a last-bit change in one of its sums can
+    # show; in training it is lost in a loss of order 1. A sum taken in another
+    # order changes about half the time, hence several networks.
+    X = np.random.default_rng(23).uniform(size=(64, 60))
+    net = init_network(30, hidden_sizes=(64, 32, 16), seed=seed)
+    y = _forward_pass(net, X)[3]
+    theta = np.concatenate([a.ravel() for a in net.named_params().values()])
+    net = _on_buffer(net, theta)
+    grad = np.zeros_like(theta)
+    l1 = _L1Penalty(net, theta, grad, np.empty_like(theta), l1_filter=1e-4, l1_mlp=5e-4)
+    loss = _loss_and_param_grads(net, _on_buffer(net, grad), X, y, l1)
+    ref_loss, ref_grads = _reference_loss_and_grads(net, X, y, 1e-4, 5e-4)
+    assert loss > 0 and loss == ref_loss
+    assert np.array_equal(grad, np.concatenate([ref_grads[name].ravel()
+                                                for name in net.named_params()]))
+
+
 def test_train_leaves_input_network_unchanged():
     net = random_network(p=3, seed=3)
     before = [a.copy() for a in net.named_params().values()]
@@ -734,24 +772,26 @@ def test_param_gradients_match_central_differences(coupling, task):
         net.z, net.z_tilde = away(net.z), away(net.z_tilde)
     X = rng.standard_normal((25, 6))
     y = (X[:, 0] > 0).astype(float) if task == "binary" else X[:, 0] * X[:, 1]
-    l1_filter, l1_mlp = 0.05, 0.03
 
+    # The buffers, views and penalty that train builds, with the same call.
     theta = np.concatenate([a.ravel() for a in net.named_params().values()])
     net = _on_buffer(net, theta)
     grad = np.zeros_like(theta)
-    _loss_and_param_grads(net, _on_buffer(net, grad), X, y, l1_filter, l1_mlp)
-    scratch = _on_buffer(net, np.zeros_like(theta))
+    g_net = _on_buffer(net, grad)
+    l1 = _L1Penalty(net, theta, grad, np.empty_like(theta), l1_filter=0.05, l1_mlp=0.03)
+    _loss_and_param_grads(net, g_net, X, y, l1)
+    analytic = grad.copy()
     h = 1e-5
     fd = np.zeros_like(theta)
     for k in range(theta.size):
         x0 = theta[k]
         theta[k] = x0 + h
-        up = _loss_and_param_grads(net, scratch, X, y, l1_filter, l1_mlp)
+        up = _loss_and_param_grads(net, g_net, X, y, l1)
         theta[k] = x0 - h
-        down = _loss_and_param_grads(net, scratch, X, y, l1_filter, l1_mlp)
+        down = _loss_and_param_grads(net, g_net, X, y, l1)
         theta[k] = x0
         fd[k] = (up - down) / (2 * h)
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-7)
 
 
 # ---------------------------------------------------------------- serialization

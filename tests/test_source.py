@@ -134,8 +134,9 @@ def test_only_the_parameter_table_spells_parameter_names():
 
 
 # The names network.py gives a flat buffer of every parameter: _on_buffer's
-# argument, train's parameters and gradients, the Adam moments and scratch.
-PARAM_BUFFERS = ("buf", "theta", "grad", "m", "v", "tmp", "tmp2")
+# argument, train's parameters and gradients, the Adam moments and the
+# scratch buffers (the L1 penalty names its one ``scratch``).
+PARAM_BUFFERS = ("buf", "theta", "grad", "m", "v", "tmp", "tmp2", "scratch")
 
 
 def buffer_subscripts(source: str) -> list:
